@@ -11,12 +11,14 @@
 //! its input data.
 //!
 //! Flags: `--lanes N` (default 256), `--input-seed S` (input-set seed,
-//! default the tracked bench seed), `--verify` (cross-check every lane's
-//! final memory against the sequential CDFG interpreter and the batched
-//! outcome against the engine's batch-sim job kind),
-//! `--generated N [--seed S] [--profile P]` (widen the kernel mix).
+//! decimal or `0x…` hex, default [`cmam_bench::BATCH_SEED`]), `--verify`
+//! (cross-check every lane's final memory against the sequential CDFG
+//! interpreter and the batched outcome against the engine's batch-sim
+//! job kind), `--generated N [--seed S] [--profile P]` (widen the kernel
+//! mix), plus the shared `--jobs N`, `--no-cache` and `--csv`.
 
-use cmam_bench::{emit_table, engine, mul_fraction, sim_bench, GenCli};
+use cmam_bench::gen::parse_u64;
+use cmam_bench::{emit_table, engine, mul_fraction, GenCli, BATCH_SEED};
 use cmam_core::FlowVariant;
 use cmam_energy::EnergyParams;
 use cmam_engine::BatchSimRequest;
@@ -43,7 +45,7 @@ fn main() {
     let _obs = cmam_bench::obs_session("input_sweep").with_metrics();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut lanes: usize = 256;
-    let mut input_seed: u64 = sim_bench::BATCH_SEED;
+    let mut input_seed: u64 = BATCH_SEED;
     let mut verify = false;
     let mut i = 0;
     while i < args.len() {
@@ -59,18 +61,24 @@ fn main() {
                 i += 1;
                 input_seed = args
                     .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .expect("--input-seed needs an integer");
+                    .ok_or_else(|| "missing value".to_owned())
+                    .and_then(|v| parse_u64(v))
+                    .unwrap_or_else(|e| {
+                        eprintln!("input_sweep: --input-seed needs an integer: {e}");
+                        std::process::exit(2);
+                    });
             }
             "--verify" => verify = true,
-            // Parsed by GenCli / the obs session; skip their values here.
-            "--generated" | "--seed" | "--profile" | "--trace-out" => i += 1,
-            "--metrics" => {}
-            o if o.starts_with("--trace-out=") => {}
+            // Parsed by GenCli, the obs session and the shared engine;
+            // skip their values here.
+            "--generated" | "--seed" | "--profile" | "--trace-out" | "--jobs" => i += 1,
+            "--metrics" | "--no-cache" | "--csv" => {}
+            o if o.starts_with("--trace-out=") || o.starts_with("--jobs=") => {}
             other => {
                 eprintln!(
                     "unknown flag {other} (known: --lanes N, --input-seed S, --verify, \
-                     --generated N, --seed S, --profile P, --trace-out FILE, --metrics)"
+                     --generated N, --seed S, --profile P, --trace-out FILE, --metrics, \
+                     --jobs N, --no-cache, --csv)"
                 );
                 std::process::exit(2);
             }

@@ -13,7 +13,7 @@
 //! ```text
 //! profile_flow [--kernel conv] [--config het2] [--flow cab]
 //!              [--trace-out profile_flow.trace.json] [--jobs N]
-//!              [--batch-lanes N]
+//!              [--batch-lanes N] [--no-cache] [--csv]
 //! profile_flow --validate-trace FILE
 //! ```
 //!
@@ -28,9 +28,11 @@
 //! * `--validate-trace F`  don't profile: parse and validate an existing
 //!   trace file (schema + per-thread span nesting) and exit — the CI
 //!   check behind `smoke --trace-out`.
+//! * `--jobs N`, `--no-cache`, `--csv`  the flags every binary shares;
+//!   `--no-cache` changes nothing here, the profiled engine never caches.
 
 use cmam_arch::CgraConfig;
-use cmam_bench::{emit_table, sim_bench, JobRequest};
+use cmam_bench::{emit_table, JobRequest, BATCH_SEED};
 use cmam_core::FlowVariant;
 use cmam_engine::{BatchSimRequest, Engine, EngineOptions};
 use cmam_obs::json::{self, Value};
@@ -41,7 +43,7 @@ fn usage_error(msg: &str) -> ! {
     eprintln!(
         "usage: profile_flow [--kernel NAME] [--config hom64|hom32|het1|het2|u4x4] \
          [--flow basic|weighted|acmap|ecmap|cab] [--trace-out FILE] [--jobs N] \
-         [--batch-lanes N] | --validate-trace FILE"
+         [--batch-lanes N] [--no-cache] [--csv] | --validate-trace FILE"
     );
     std::process::exit(2);
 }
@@ -124,8 +126,9 @@ fn main() {
                 let path = value(&args, &mut i, "--validate-trace");
                 validate_file(&path);
             }
-            // Consumed by EngineOptions::from_args below.
+            // Consumed by EngineOptions::from_args below and emit_table.
             "--jobs" => i += 1,
+            "--no-cache" | "--csv" => {}
             o if o.starts_with("--jobs=") => {}
             other => usage_error(&format!("unknown flag {other}")),
         }
@@ -189,7 +192,7 @@ fn main() {
     // breaks down the batch path too (`batch_sim` wraps the job;
     // `simulate_batch` is the simulator's own span).
     if batch_lanes > 0 && outcome[0].is_ok() {
-        let sweep = BatchSimRequest::flow(spec, flow, &config, sim_bench::BATCH_SEED, batch_lanes);
+        let sweep = BatchSimRequest::flow(spec, flow, &config, BATCH_SEED, batch_lanes);
         let swept = engine.run_batch_sim(&sweep).expect("solo job compiled");
         println!(
             "batch sweep: {}/{} lanes ok, {} aggregate cycles{}\n",

@@ -1,11 +1,13 @@
 //! # cmam-bench — experiment harness
 //!
-//! Shared plumbing for the per-figure binaries (`tab1_configs`,
-//! `fig2_occupancy`, `fig5_traversal`, `fig6_acmap`, `fig7_ecmap`,
-//! `fig8_cab`, `fig9_compile_time`, `fig10_speedup`, `fig11_area`,
-//! `tab2_energy`, `dse_pareto`) and the Criterion benches. Every binary
-//! regenerates one table or figure of the paper (or, for `dse_pareto`, a
-//! scenario beyond it).
+//! Shared plumbing for the experiment binaries: one per paper table or
+//! figure (`tab1_configs`, `fig2_occupancy`, `fig5_traversal`,
+//! `fig6_acmap`, `fig7_ecmap`, `fig8_cab`, `fig9_compile_time`,
+//! `fig10_speedup`, `fig11_area`, `tab2_energy`), one per scenario beyond
+//! the paper (`dse_pareto`, `input_sweep`, `ablation_population`) and
+//! the `smoke`, `gen_suite` and `profile_flow` checks. The repository's
+//! benchmark is the separate `perfbench/` package, which uses only
+//! [`cgra_energy_of`] and [`mul_fraction`] from this crate.
 //!
 //! All mapping work is submitted through the shared [`engine()`] — a
 //! [`cmam_engine::Engine`] that deduplicates identical jobs, runs batches
@@ -22,11 +24,8 @@ use cmam_energy::{cpu_energy, EnergyBreakdown, EnergyParams};
 use cmam_kernels::KernelSpec;
 use std::sync::OnceLock;
 
-pub mod dse_bench;
 pub mod gen;
-pub mod mapper_bench;
 pub mod obs_session;
-pub mod sim_bench;
 
 pub use gen::GenCli;
 pub use obs_session::{obs_session, ObsSession};
@@ -35,6 +34,11 @@ pub use cmam_engine::{
     smoke_matrix, Engine, EngineOptions, EngineStats, FailStage, JobFailure, JobRequest,
     RunFailure, RunOutcome,
 };
+
+/// Root seed of the batched input sets of `input_sweep` and
+/// `profile_flow` (lane `l` of a kernel simulates
+/// `input_image(BATCH_SEED, l, ..)`).
+pub const BATCH_SEED: u64 = 0xBA7C_5EED;
 
 /// The process-wide compilation engine, configured once from the
 /// command-line arguments (`--jobs N`, `--no-cache`).

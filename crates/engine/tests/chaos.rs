@@ -6,7 +6,9 @@
 //! recoverable by construction — see `cmam_fault`'s transient rule and
 //! [`cmam_engine::job::MAX_JOB_ATTEMPTS`]), a permanently-failing job is
 //! quarantined as a structured [`JobFailure`] while its siblings finish,
-//! and no orphan `.tmp-*` files survive an open-time sweep.
+//! and no orphan `.tmp-*` files survive an open-time sweep. One test
+//! checks the other side of the contract: with no plan installed, the
+//! fault sites cost a job next to nothing.
 //!
 //! The fault plan is process-global state, so the tests serialize on one
 //! poison-recovering mutex; other test binaries run in their own
@@ -24,6 +26,7 @@ use cmam_fault::FaultPlan;
 use cmam_kernels::KernelSpec;
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, Once, PoisonError};
+use std::time::Instant;
 
 /// Serializes the tests in this binary: the installed fault plan is
 /// process-global, and the lock recovers from poisoning because panics
@@ -242,6 +245,53 @@ fn one_permanently_failing_job_is_quarantined_with_structure() {
         stats.retries,
         u64::from(MAX_JOB_ATTEMPTS - 1),
         "the cursed job alone should account for every retry"
+    );
+}
+
+/// With no plan installed, every fault site must collapse to one relaxed
+/// atomic load. One healthy job pays seven checks: `fires` on the four
+/// cache paths, one corruption probe, and a `job.panic` check plus a
+/// `job.delay` roll for its single attempt. That bundle, averaged over a
+/// million rounds, may cost at most 0.5% of one real job (DC Filter,
+/// basic flow, HOM64) timed in the same process. Both times come from
+/// the same machine under the same load, so the verdict is about the
+/// hooks rather than run-to-run machine noise.
+#[test]
+fn fault_hooks_off_cost_at_most_half_a_percent_of_a_job() {
+    let _serial = chaos_lock();
+    cmam_fault::clear();
+
+    const ROUNDS: u64 = 1_000_000;
+    let mut fired = 0u64;
+    let t0 = Instant::now();
+    for k in 0..ROUNDS {
+        // A per-round key, laundered through black_box, keeps the checks
+        // from being hoisted out of the loop.
+        let key = std::hint::black_box(k);
+        fired += u64::from(cmam_fault::fires("cache.read", key));
+        fired += u64::from(cmam_fault::fires("cache.write", key));
+        fired += u64::from(cmam_fault::fires("cache.kill", key));
+        fired += u64::from(cmam_fault::fires("cache.rename", key));
+        fired += u64::from(cmam_fault::fires_attempt("job.panic", key, 1));
+        fired += u64::from(cmam_fault::roll("job.delay", key).is_some());
+        let mut bytes: Vec<u8> = Vec::new();
+        fired += u64::from(cmam_fault::corrupt_artifact(key, &mut bytes));
+    }
+    let hooks_ns = t0.elapsed().as_secs_f64() * 1e9 / ROUNDS as f64;
+    assert_eq!(fired, 0, "no plan is installed, nothing may fire");
+
+    let spec = cmam_kernels::dc::spec();
+    let config = CgraConfig::hom64();
+    let t0 = Instant::now();
+    cmam_engine::execute(&JobRequest::flow(&spec, FlowVariant::Basic, &config))
+        .expect("DC Filter maps on HOM64");
+    let job_ns = t0.elapsed().as_secs_f64() * 1e9;
+
+    let ratio = job_ns / (job_ns + hooks_ns);
+    assert!(
+        ratio >= 0.995,
+        "fault hooks cost {hooks_ns:.1} ns per job against {job_ns:.0} ns of work \
+         (ratio {ratio:.5} < 0.995)"
     );
 }
 

@@ -1,9 +1,8 @@
 //! A minimal JSON reader — just big enough to round-trip the documents
-//! this workspace emits (Chrome traces, `METRICS` blocks, the
-//! benchmark reports) without pulling a JSON dependency into the
-//! offline build. Moved here from `cmam_bench::mapper_bench` so the
-//! trace validator and the bench tooling share one parser;
-//! `cmam_bench` re-exports it under its old path.
+//! this workspace emits (Chrome traces, `METRICS` blocks) and to read
+//! the benchmark's `BENCHMARK.json`, without pulling a JSON dependency
+//! into the offline build. The trace validator, `profile_flow` and the
+//! benchmark share this one parser.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

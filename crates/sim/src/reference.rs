@@ -8,9 +8,9 @@
 //!
 //! * the property tests can assert the decoded fast path agrees with a
 //!   straightforward reading of the ISA on arbitrary binaries, and
-//! * `bench_sim` can measure the decoded simulator's speedup against the
-//!   original implementation on every run instead of trusting a stale
-//!   baseline number.
+//! * `generated_edges` and the `gen_suite` binary can check the decoded
+//!   simulator's stats and memory against the original implementation
+//!   on every kernel they run.
 //!
 //! Only [`SimOptions::normalized`] is shared with the fast path, so the
 //! `mem_banks == 0` convention lives in exactly one place.
