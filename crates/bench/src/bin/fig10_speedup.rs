@@ -15,11 +15,11 @@ fn main() {
     let mut rows = Vec::new();
     let mut agg: Vec<f64> = Vec::new();
     for spec in &specs {
-        let (cpu, _) = run_cpu(&spec);
+        let (cpu, _) = run_cpu(spec);
         let basic =
-            run_flow(&spec, FlowVariant::Basic, &CgraConfig::hom64()).expect("basic maps on HOM64");
-        let het1 = run_flow(&spec, FlowVariant::Cab, &CgraConfig::het1());
-        let het2 = run_flow(&spec, FlowVariant::Cab, &CgraConfig::het2());
+            run_flow(spec, FlowVariant::Basic, &CgraConfig::hom64()).expect("basic maps on HOM64");
+        let het1 = run_flow(spec, FlowVariant::Cab, &CgraConfig::het1());
+        let het2 = run_flow(spec, FlowVariant::Cab, &CgraConfig::het2());
         let spd = |c: u64| cpu.cycles as f64 / c as f64;
         let mut row = vec![
             spec.name.to_owned(),

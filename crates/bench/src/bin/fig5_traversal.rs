@@ -27,8 +27,8 @@ fn main() {
     let mut rows = Vec::new();
     let mut sums = (0.0, 0.0, 0usize);
     for spec in &specs {
-        let fwd = run_flow(&spec, FlowVariant::Basic, &config).expect("forward maps");
-        let wgt = run_flow(&spec, FlowVariant::Weighted, &config).expect("weighted maps");
+        let fwd = run_flow(spec, FlowVariant::Basic, &config).expect("forward maps");
+        let wgt = run_flow(spec, FlowVariant::Weighted, &config).expect("weighted maps");
         let pn_f = fwd.report.total_pnops() as f64;
         let pn_w = wgt.report.total_pnops() as f64;
         let mv_f = fwd.report.total_moves().max(1) as f64;

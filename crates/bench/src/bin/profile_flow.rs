@@ -239,11 +239,14 @@ fn main() {
 
     // Phase table in pipeline order; anything unanticipated follows
     // alphabetically so new spans can't silently vanish from the report.
-    const ORDER: [&str; 9] = [
+    const ORDER: [&str; 12] = [
         "run_batch",
         "job",
         "map",
         "map_block",
+        "expand",
+        "materialise",
+        "finalize",
         "assemble",
         "decode",
         "simulate",
@@ -286,14 +289,44 @@ fn main() {
     }
 
     // Mapper search-effort counters, straight from the metrics registry.
+    let counters = cmam_obs::metrics::registry().counter_snapshot();
     println!("\n## mapper counters\n");
-    let rows: Vec<Vec<String>> = cmam_obs::metrics::registry()
-        .counter_snapshot()
-        .into_iter()
-        .filter(|(name, _)| name.starts_with("mapper.") || name.starts_with("sim."))
-        .map(|(name, v)| vec![name.to_owned(), v.to_string()])
+    let rows: Vec<Vec<String>> = counters
+        .iter()
+        .filter(|(name, _)| {
+            (name.starts_with("mapper.") || name.starts_with("sim."))
+                && !name.starts_with("mapper.stage_ns.")
+        })
+        .map(|(name, v)| vec![(*name).to_owned(), v.to_string()])
         .collect();
     emit_table(&["counter", "value"], &rows);
+
+    // Where the mapper's wall time went, from the per-stage timers every
+    // `Mapper::map` call flushes.
+    const STAGES: [&str; 5] = ["schedule", "expand", "prune", "materialise", "finalize"];
+    let stages: Vec<(&str, u64)> = STAGES
+        .iter()
+        .map(|&stage| {
+            let ns = counters
+                .iter()
+                .find(|(name, _)| name.strip_prefix("mapper.stage_ns.") == Some(stage))
+                .map_or(0, |&(_, v)| v);
+            (stage, ns)
+        })
+        .collect();
+    let total: u64 = stages.iter().map(|&(_, ns)| ns).sum();
+    println!("\n## mapper stage split\n");
+    let rows: Vec<Vec<String>> = stages
+        .iter()
+        .map(|&(stage, ns)| {
+            vec![
+                stage.to_owned(),
+                format!("{:.1}", ns as f64 / 1e3),
+                format!("{:.1}", 100.0 * ns as f64 / total.max(1) as f64),
+            ]
+        })
+        .collect();
+    emit_table(&["stage", "µs", "share %"], &rows);
 
     if trace_out != "-" {
         cmam_obs::write_chrome_trace(trace_out.as_ref())

@@ -19,19 +19,19 @@ fn main() {
     let mut gains_vs_basic: Vec<f64> = Vec::new();
     let mut gains_vs_cpu: Vec<f64> = Vec::new();
     for spec in &specs {
-        let (_, cpu_e) = run_cpu(&spec);
+        let (_, cpu_e) = run_cpu(spec);
         let cpu_uj = cpu_e.total();
-        let basic = run_flow(&spec, FlowVariant::Basic, &hom64).expect("basic maps");
-        let b_uj = cgra_energy_of(&spec, &hom64, &basic).total();
+        let basic = run_flow(spec, FlowVariant::Basic, &hom64).expect("basic maps");
+        let b_uj = cgra_energy_of(spec, &hom64, &basic).total();
         let mut row = vec![
             spec.name.to_owned(),
             format!("{cpu_uj:.4}"),
             format!("{b_uj:.4} ({:.0}x)", cpu_uj / b_uj),
         ];
         for config in [&het1, &het2] {
-            match run_flow(&spec, FlowVariant::Cab, config) {
+            match run_flow(spec, FlowVariant::Cab, config) {
                 Ok(out) => {
-                    let uj = cgra_energy_of(&spec, config, &out).total();
+                    let uj = cgra_energy_of(spec, config, &out).total();
                     row.push(format!("{uj:.4} ({:.0}x)", cpu_uj / uj));
                     gains_vs_basic.push(b_uj / uj);
                     gains_vs_cpu.push(cpu_uj / uj);

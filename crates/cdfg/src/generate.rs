@@ -663,8 +663,10 @@ mod tests {
 
     #[test]
     fn sanitize_rounds_memory_to_power_of_two() {
-        let mut p = GenParams::default();
-        p.mem_words = 100;
+        let mut p = GenParams {
+            mem_words: 100,
+            ..GenParams::default()
+        };
         assert_eq!(p.sanitized().mem_words, 128);
         p.mem_words = 0;
         assert_eq!(p.sanitized().mem_words, 8);
@@ -674,11 +676,13 @@ mod tests {
     fn max_trip_is_honoured_by_termination_budget() {
         // A loop-heavy profile with the largest trip count still
         // terminates well inside the budget.
-        let mut p = GenParams::default();
-        p.loop_pct = 80;
-        p.diamond_pct = 0;
-        p.blocks = 21;
-        p.max_trip = 32;
+        let p = GenParams {
+            loop_pct: 80,
+            diamond_pct: 0,
+            blocks: 21,
+            max_trip: 32,
+            ..GenParams::default()
+        };
         let g = generate(&p, 3);
         let mut mem = g.mem.clone();
         interp::run(&g.cdfg, &mut mem, 1_000_000).expect("terminates");

@@ -213,8 +213,8 @@ mod tests {
     fn sum_of_squares_matches_rust() {
         let cdfg = sum_squares(8);
         let mut mem = vec![0i32; 128];
-        for i in 0..8 {
-            mem[i] = i as i32 + 1;
+        for (i, m) in mem.iter_mut().take(8).enumerate() {
+            *m = i as i32 + 1;
         }
         let stats = run(&cdfg, &mut mem, 100_000).unwrap();
         let expect: i32 = (1..=8).map(|x| x * x).sum();

@@ -28,12 +28,16 @@ use rand::SeedableRng;
 use std::error::Error;
 use std::fmt;
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Why a kernel could not be mapped.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MapError {
     /// The CDFG failed structural validation.
     Invalid(ValidateError),
+    /// The [`MapperOptions`] cannot drive a search (a zero population,
+    /// expansion or schedule bound); rejected before any work.
+    InvalidOptions(&'static str),
     /// No feasible binding existed for an operation of `block` even after
     /// slack escalation (routing/recomputation exhausted).
     Unroutable {
@@ -56,6 +60,7 @@ impl fmt::Display for MapError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             MapError::Invalid(e) => write!(f, "invalid cdfg: {e}"),
+            MapError::InvalidOptions(why) => write!(f, "invalid mapper options: {why}"),
             MapError::Unroutable { block } => {
                 write!(f, "no feasible binding while mapping {block}")
             }
@@ -90,7 +95,11 @@ impl From<ValidateError> for MapError {
 pub struct MapStats {
     /// Candidate bindings generated (successful `try_place_op` calls).
     pub candidates: u64,
-    /// Candidate bindings attempted (including failures).
+    /// Candidate bindings attempted (including failures): every
+    /// `(partial, tile, cycle)` of the expansion window. A tile that
+    /// cannot take the op at all (no LSU for a memory op, or CAB
+    /// blacklisted) counts its whole window, `slack + 1` attempts,
+    /// without trying any.
     pub attempts: u64,
     /// Partials dropped by the ACMAP filter.
     pub acmap_pruned: u64,
@@ -138,6 +147,40 @@ impl MapStats {
     }
 }
 
+/// Wall time per mapper stage of one [`Mapper::map`] call, in
+/// nanoseconds. Accumulated per op step (expansion, filter + prune,
+/// materialise) and per block (schedule, finalize) — never per trial —
+/// and flushed once per call into the `mapper.stage_ns.*` counters.
+/// Timings vary from run to run, so they stay out of [`MapStats`], which
+/// tests compare for equality.
+#[derive(Debug, Default)]
+struct StageNs {
+    schedule: u64,
+    expand: u64,
+    prune: u64,
+    materialise: u64,
+    finalize: u64,
+}
+
+impl StageNs {
+    fn flush_metrics(&self) {
+        cmam_obs::counter!("mapper.stage_ns.schedule").add(self.schedule);
+        cmam_obs::counter!("mapper.stage_ns.expand").add(self.expand);
+        cmam_obs::counter!("mapper.stage_ns.prune").add(self.prune);
+        cmam_obs::counter!("mapper.stage_ns.materialise").add(self.materialise);
+        cmam_obs::counter!("mapper.stage_ns.finalize").add(self.finalize);
+    }
+}
+
+/// Nanoseconds since `*mark`, moving the mark to now: consecutive laps
+/// split one stretch of wall time into disjoint stages.
+fn lap(mark: &mut Instant) -> u64 {
+    let now = Instant::now();
+    let ns = now.duration_since(*mark).as_nanos() as u64;
+    *mark = now;
+    ns
+}
+
 /// A successful mapping plus its statistics.
 #[derive(Debug, Clone)]
 pub struct MapResult {
@@ -169,6 +212,15 @@ struct Candidate {
     ecmap_ok: bool,
 }
 
+impl Candidate {
+    /// Rank within one parent's candidates: cost, then generation order
+    /// (tiles ascending, then cycles ascending) — a total order, so
+    /// selecting by it keeps exactly what a stable sort by cost keeps.
+    fn rank(&self) -> ((usize, usize), TileId, u32) {
+        (self.cost, self.tile, self.cycle)
+    }
+}
+
 /// Search counters produced by one expansion shard; folded into
 /// [`MapStats`] after the (sequential or parallel) round joins. Plain
 /// integer sums, so the fold order cannot influence the totals.
@@ -181,7 +233,7 @@ struct ExpandStats {
 
 impl ExpandStats {
     fn absorb(&mut self, other: ExpandStats) {
-        self.attempts += other.attempts;
+        self.attempts = self.attempts.saturating_add(other.attempts);
         self.candidates += other.candidates;
         self.rollbacks += other.rollbacks;
     }
@@ -193,6 +245,13 @@ impl ExpandStats {
 /// generator — the sequential path and every parallel beam shard call
 /// exactly this function, which is what makes the parallel search
 /// bit-identical to the sequential one by construction.
+///
+/// Everything that does not depend on the trial is decided once: tile
+/// legality (LSU, CAB blacklist) per tile, window cycles past
+/// `max_schedule` per call, and the parent half of the memory verdicts.
+/// These checks never mutate, so skipping a closed tile or an
+/// out-of-range cycle counts the attempt exactly as trying it would.
+#[allow(clippy::too_many_arguments)]
 fn expand_partial(
     ctx: &MapCtx<'_>,
     deps: &DepGraph,
@@ -201,28 +260,31 @@ fn expand_partial(
     slack: usize,
     pi: usize,
     partial: &mut Partial,
-) -> (Vec<Candidate>, ExpandStats) {
-    let geom = ctx.config.geometry();
+    out: &mut Vec<Candidate>,
+) -> ExpandStats {
     let mut st = ExpandStats::default();
     let earliest = partial.earliest_cycle(deps, op);
+    let window = (slack as u64).saturating_add(1);
+    // Cycles at or past `max_schedule` fail before any mutation.
+    let last = earliest
+        .saturating_add(slack)
+        .min(ctx.options.max_schedule - 1);
     let cp = partial.checkpoint();
-    let mut local: Vec<Candidate> = Vec::new();
+    let base = partial.verdict_base(ctx);
+    let start = out.len();
     for &tile in tiles {
-        for cycle in earliest..=earliest + slack {
-            st.attempts += 1;
-            if partial.try_place_op(ctx, op, tile, cycle) {
+        st.attempts = st.attempts.saturating_add(window);
+        if !partial.tile_open(ctx, op, tile) {
+            continue;
+        }
+        for cycle in earliest..=last {
+            if !partial.slot_free(tile, cycle) {
+                continue;
+            }
+            if partial.place_on_open_tile(ctx, op, tile, cycle) {
                 st.candidates += 1;
-                // Evaluate the memory filters while the delta is applied —
-                // O(1) per tile from the incremental counters.
-                let acmap_ok = !ctx.options.acmap
-                    || geom
-                        .tiles()
-                        .all(|t| partial.acmap_words(t) <= ctx.capacity(t));
-                let ecmap_ok = !ctx.options.ecmap
-                    || geom
-                        .tiles()
-                        .all(|t| partial.ecmap_words(t) <= ctx.capacity(t));
-                local.push(Candidate {
+                let (acmap_ok, ecmap_ok) = partial.child_verdicts(ctx, &base, cp);
+                out.push(Candidate {
                     parent: pi as u32,
                     tile,
                     cycle: cycle as u32,
@@ -242,12 +304,16 @@ fn expand_partial(
     // pruning): the memory-aware steps prune the partial-mapping set,
     // they do not re-rank the binder's candidates. This is what makes
     // over-constrained targets fail (the zero bars of Figs 6-8) instead
-    // of being rescued by exhaustive candidate filtering. (Stable sort:
-    // ties keep generation order, as when partials themselves were
-    // sorted.)
-    local.sort_by_key(|c| c.cost);
-    local.truncate(ctx.options.expansion);
-    (local, st)
+    // of being rescued by exhaustive candidate filtering. The cut keeps
+    // the `expansion` best by cost, ties in generation order — what a
+    // stable sort by cost then truncation keeps — selected, then sorted.
+    let keep = ctx.options.expansion;
+    if out.len() - start > keep {
+        out[start..].select_nth_unstable_by_key(keep - 1, Candidate::rank);
+        out.truncate(start + keep);
+    }
+    out[start..].sort_unstable_by_key(Candidate::rank);
+    st
 }
 
 /// The owned copy of one `map()` call's inputs that parallel beam shards
@@ -335,9 +401,10 @@ impl BeamPool {
                 .expect("beam slot poisoned")
                 .take()
                 .expect("partial present");
-            let out = expand_partial(&ctx, &deps, &tiles, op, slack, i, &mut p);
+            let mut local = Vec::new();
+            let st = expand_partial(&ctx, &deps, &tiles, op, slack, i, &mut p, &mut local);
             *job_slots[i].lock().expect("beam slot poisoned") = Some(p);
-            out
+            (local, st)
         });
         let population = take_back(&slots);
         let mut pool: Vec<Candidate> = Vec::new();
@@ -400,6 +467,7 @@ impl Mapper {
     ///
     /// # Errors
     ///
+    /// [`MapError::InvalidOptions`] for options that cannot drive a search,
     /// [`MapError::Invalid`] for malformed CDFGs, [`MapError::Unroutable`]
     /// when binding fails structurally, and [`MapError::MemoryConstraint`]
     /// when the context-memory constraints cannot be met (memory-aware
@@ -407,8 +475,10 @@ impl Mapper {
     pub fn map(&self, cdfg: &Cdfg, config: &CgraConfig) -> Result<MapResult, MapError> {
         let _span = cmam_obs::span!("map", blocks = cdfg.num_blocks() as u64);
         let mut stats = MapStats::default();
-        let result = self.map_impl(cdfg, config, &mut stats);
+        let mut stages = StageNs::default();
+        let result = self.map_impl(cdfg, config, &mut stats, &mut stages);
         stats.flush_metrics(result.is_err());
+        stages.flush_metrics();
         result.map(|mapping| MapResult { mapping, stats })
     }
 
@@ -417,7 +487,9 @@ impl Mapper {
         cdfg: &Cdfg,
         config: &CgraConfig,
         stats: &mut MapStats,
+        stages: &mut StageNs,
     ) -> Result<KernelMapping, MapError> {
+        self.options.validate().map_err(MapError::InvalidOptions)?;
         cdfg.validate()?;
         let order = match self.options.traversal {
             Traversal::Forward => forward_order(cdfg),
@@ -459,6 +531,7 @@ impl Mapper {
                 &mut state,
                 &mut rng,
                 stats,
+                stages,
                 &mut pool_mem,
                 beam.as_ref(),
             )?;
@@ -483,12 +556,15 @@ impl Mapper {
         state: &mut FlowState,
         rng: &mut StdRng,
         stats: &mut MapStats,
+        stages: &mut StageNs,
         pool_mem: &mut Vec<Partial>,
         beam: Option<&BeamPool>,
     ) -> Result<cmam_isa::BlockMapping, MapError> {
+        let mut mark = Instant::now();
         let dfg = ctx.cdfg.dfg(block);
         let deps = Arc::new(DepGraph::build(&dfg));
         let order = priority_order(&dfg, &deps);
+        stages.schedule += lap(&mut mark);
         let _span = cmam_obs::span!(
             "map_block",
             block = block.0 as u64,
@@ -497,6 +573,8 @@ impl Mapper {
         let tiles: Arc<Vec<TileId>> = Arc::new(ctx.config.geometry().tiles().collect());
 
         let mut population = vec![Partial::new(state, ctx)];
+        // The candidate pool's buffer is reused across op steps.
+        let mut pool: Vec<Candidate> = Vec::new();
 
         for &op in &order {
             // Candidate generation with slack escalation. Every trial is
@@ -505,9 +583,10 @@ impl Mapper {
             // parallelism on, the per-partial shards run concurrently and
             // join in partial index order — the pool below is identical
             // either way.
-            let mut pool: Vec<Candidate> = Vec::new();
+            let expand_span = cmam_obs::span!("expand", op = op.0 as u64);
+            pool.clear();
             for escalation in 0..3 {
-                let slack = self.options.slack << (2 * escalation);
+                let slack = self.options.slack.saturating_mul(1 << (2 * escalation));
                 if escalation > 0 {
                     stats.escalations += 1;
                 }
@@ -528,21 +607,22 @@ impl Mapper {
                     _ => {
                         let mut st = ExpandStats::default();
                         for (pi, partial) in population.iter_mut().enumerate() {
-                            let (local, s) =
-                                expand_partial(ctx, &deps, &tiles, op, slack, pi, partial);
-                            pool.extend(local);
-                            st.absorb(s);
+                            st.absorb(expand_partial(
+                                ctx, &deps, &tiles, op, slack, pi, partial, &mut pool,
+                            ));
                         }
                         st
                     }
                 };
-                stats.attempts += round_stats.attempts;
+                stats.attempts = stats.attempts.saturating_add(round_stats.attempts);
                 stats.candidates += round_stats.candidates;
                 stats.rollbacks += round_stats.rollbacks;
                 if !pool.is_empty() {
                     break;
                 }
             }
+            drop(expand_span);
+            stages.expand += lap(&mut mark);
             if pool.is_empty() {
                 // With memory awareness on, an empty pool usually means
                 // the CAB blacklist / capacity reservation left no legal
@@ -585,8 +665,15 @@ impl Mapper {
                 }
             }
             let before = pool.len();
-            let chosen = stochastic_prune_by(pool, self.options.population, rng, |c| c.cost);
+            let chosen = stochastic_prune_by(
+                std::mem::take(&mut pool),
+                self.options.population,
+                rng,
+                |c| c.cost,
+            );
             stats.stochastic_pruned += (before - chosen.len()) as u64;
+            stages.prune += lap(&mut mark);
+            let _materialise_span = cmam_obs::span!("materialise", survivors = chosen.len() as u64);
 
             // Materialise the survivors: re-apply each chosen delta onto
             // (a clone of) its parent. The last reference to a parent
@@ -627,11 +714,14 @@ impl Mapper {
             // Recycle the allocations of parents nothing descended from.
             pool_mem.extend(parents.into_iter().flatten());
             population = next;
+            pool = chosen;
+            stages.materialise += lap(&mut mark);
         }
 
         // Finalisation: symbol commits + exact feasibility. Each trial
         // only touches its own partial, so the surviving beam shards the
         // same way expansion did; verdicts join in partial index order.
+        let _finalize_span = cmam_obs::span!("finalize", survivors = population.len() as u64);
         let (population, verdicts) = match beam {
             Some(bp) if population.len() > 1 => bp.finalize_round(ctx.reserve, block, population),
             _ => {
@@ -648,6 +738,7 @@ impl Mapper {
                 finalized.push(p);
             } else {
                 stats.finalize_failures += 1;
+                pool_mem.push(p);
             }
         }
         if finalized.is_empty() {
@@ -658,8 +749,13 @@ impl Mapper {
         }
         finalized.sort_by_key(|p| (p.length(), p.cost()));
         let best = finalized.swap_remove(0);
+        // Every partial of one run has identically sized tables, so the
+        // losers seed the next block's survivor clones.
+        pool_mem.append(&mut finalized);
         best.commit_into(state);
-        Ok(best.into_block_mapping())
+        let mapping = best.into_block_mapping();
+        stages.finalize += lap(&mut mark);
+        Ok(mapping)
     }
 }
 
@@ -667,6 +763,8 @@ impl Mapper {
 mod tests {
     use super::*;
     use crate::options::FlowVariant;
+    use crate::prune::{acmap_filter, ecmap_filter};
+    use cmam_cdfg::analysis::weighted_order;
     use cmam_cdfg::{CdfgBuilder, Opcode};
 
     /// acc = Σ mem[i]^2 over n elements, stored to mem[out].
@@ -752,6 +850,148 @@ mod tests {
         let mapper = Mapper::new(MapperOptions::context_aware());
         let err = mapper.map(&cdfg, &config).unwrap_err();
         assert!(matches!(err, MapError::MemoryConstraint { .. }), "{err}");
+    }
+
+    fn map_with(options: MapperOptions) -> Result<MapResult, MapError> {
+        Mapper::new(options).map(&sum_squares(4, 80), &CgraConfig::hom64())
+    }
+
+    #[test]
+    fn zero_population_is_an_options_error() {
+        let mut options = MapperOptions::basic();
+        options.population = 0;
+        let err = map_with(options).unwrap_err();
+        assert_eq!(
+            err,
+            MapError::InvalidOptions("population must be at least 1")
+        );
+        assert!(
+            err.to_string().starts_with("invalid mapper options"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn zero_expansion_is_an_options_error() {
+        let mut options = MapperOptions::context_aware();
+        options.expansion = 0;
+        assert_eq!(
+            map_with(options).unwrap_err(),
+            MapError::InvalidOptions("expansion must be at least 1")
+        );
+    }
+
+    #[test]
+    fn zero_max_schedule_is_an_options_error() {
+        let mut options = MapperOptions::context_aware();
+        options.max_schedule = 0;
+        assert_eq!(
+            map_with(options).unwrap_err(),
+            MapError::InvalidOptions("max_schedule must be at least 1")
+        );
+    }
+
+    #[test]
+    fn huge_slack_saturates_instead_of_overflowing() {
+        // Escalation multiplies the slack; the window end saturates and
+        // cycles past `max_schedule` count as attempts without a trial.
+        let mut options = MapperOptions::basic();
+        options.slack = usize::MAX / 2;
+        options.max_schedule = 48;
+        let r = map_with(options).expect("maps within the schedule bound");
+        assert_eq!(r.stats.attempts, u64::MAX, "attempt count saturates");
+    }
+
+    /// Drives a small beam of `expand_partial` rounds over `cdfg` and
+    /// checks every expanded candidate's ACMAP/ECMAP verdict against the
+    /// reference filters run on its parent with the candidate re-applied.
+    /// `seen` counts `[acmap pass, acmap fail, ecmap pass, ecmap fail]`.
+    fn check_verdicts(
+        cdfg: &Cdfg,
+        config: &CgraConfig,
+        options: &MapperOptions,
+        seen: &mut [u64; 4],
+    ) {
+        let order = weighted_order(cdfg);
+        let pre = MapPre::new(config);
+        let tiles: Vec<TileId> = config.geometry().tiles().collect();
+        let mut state = FlowState::new(tiles.len());
+        for (pos, &block) in order.iter().enumerate() {
+            let ctx = MapCtx {
+                cdfg,
+                config,
+                options,
+                reserve: order.len() - 1 - pos,
+                pre: &pre,
+            };
+            let dfg = cdfg.dfg(block);
+            let deps = DepGraph::build(&dfg);
+            let mut population = vec![Partial::new(&state, &ctx)];
+            for op in priority_order(&dfg, &deps) {
+                let mut pool = Vec::new();
+                for (pi, p) in population.iter_mut().enumerate() {
+                    expand_partial(&ctx, &deps, &tiles, op, options.slack, pi, p, &mut pool);
+                }
+                let mut next = Vec::new();
+                for c in &pool {
+                    let mut child = population[c.parent as usize].clone();
+                    assert!(child.try_place_op(&ctx, op, c.tile, c.cycle as usize));
+                    child.clear_journal();
+                    let acmap_ok = acmap_filter(&mut vec![child.clone()], &ctx) == 0;
+                    let ecmap_ok = ecmap_filter(&mut vec![child.clone()], &ctx) == 0;
+                    let at = format!("{} @{} in {block}", c.tile, c.cycle);
+                    assert_eq!(c.acmap_ok, acmap_ok, "ACMAP verdict at {at}");
+                    assert_eq!(c.ecmap_ok, ecmap_ok, "ECMAP verdict at {at}");
+                    seen[usize::from(!acmap_ok)] += 1;
+                    seen[2 + usize::from(!ecmap_ok)] += 1;
+                    if acmap_ok && ecmap_ok && next.len() < 4 {
+                        next.push(child);
+                    }
+                }
+                if next.is_empty() {
+                    return;
+                }
+                population = next;
+            }
+            let Some(best) = population
+                .into_iter()
+                .find_map(|mut p| p.finalize(&ctx, block).then_some(p))
+            else {
+                return;
+            };
+            best.commit_into(&mut state);
+        }
+    }
+
+    #[test]
+    fn expansion_verdicts_equal_the_reference_filters() {
+        use cmam_cdfg::generate::GenParams;
+        let mut kernels: Vec<Cdfg> = cmam_kernels::all()
+            .into_iter()
+            .filter(|s| s.name == "DC Filter" || s.name == "FIR")
+            .map(|s| s.cdfg)
+            .collect();
+        assert_eq!(kernels.len(), 2, "expected kernels present");
+        for (profile, seed) in [("default", 11), ("memory_bound", 12)] {
+            let params = GenParams::profile(profile).expect("known profile");
+            kernels.push(cmam_kernels::generated_spec(&params, seed).cdfg);
+        }
+        let configs = [
+            CgraConfig::het2(),
+            CgraConfig::builder(4, 4).uniform_cm(12).build().unwrap(),
+        ];
+        let mut seen = [0u64; 4];
+        for cdfg in &kernels {
+            for config in &configs {
+                for variant in [FlowVariant::Ecmap, FlowVariant::Cab] {
+                    check_verdicts(cdfg, config, &variant.options(), &mut seen);
+                }
+            }
+        }
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "both verdicts of both filters must occur: {seen:?}"
+        );
     }
 
     #[test]

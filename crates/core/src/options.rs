@@ -134,6 +134,25 @@ impl MapperOptions {
         self.acmap || self.ecmap || self.cab
     }
 
+    /// Checks that these options can drive a search: the population,
+    /// the expansion cut and the schedule bound must each be at least 1.
+    ///
+    /// # Errors
+    ///
+    /// A short reason naming the first zero knob.
+    pub(crate) fn validate(&self) -> Result<(), &'static str> {
+        if self.population == 0 {
+            return Err("population must be at least 1");
+        }
+        if self.expansion == 0 {
+            return Err("expansion must be at least 1");
+        }
+        if self.max_schedule == 0 {
+            return Err("max_schedule must be at least 1");
+        }
+        Ok(())
+    }
+
     /// Resolves [`threads`](MapperOptions::threads): an explicit value
     /// wins, `0` falls back to `CMAM_THREADS` (ignored unless it parses
     /// to a positive integer) and finally to 1.

@@ -50,7 +50,10 @@
 //!   insertion/extension;
 //! * symbol homes and last-home-read cycles are dense
 //!   `SymbolId`-indexed tables; the first placed cycle of every op is a
-//!   dense `OpId`-indexed table (for O(preds) dependency slack).
+//!   dense `OpId`-indexed table (for O(preds) dependency slack);
+//! * placed ops keep their operand sources inline, so a trial allocates
+//!   nothing; hop distances and per-tile resources come from [`MapPre`]
+//!   tables.
 //!
 //! Candidate evaluation is **clone-free**: every mutation appends an
 //! inverse record to an undo journal, so the search tries a binding on
@@ -68,10 +71,12 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
 /// Immutable per-`map()` precomputation: the torus neighbourhoods in the
-/// two orders the binder consumes, so the hot loop never re-derives (or
-/// re-allocates) them per call.
+/// two orders the binder consumes, all-pairs hop distances, the
+/// home-pinning probe orders and the per-tile resources, so the hot loop
+/// never re-derives (or re-allocates) them per call.
 #[derive(Debug, Clone)]
 pub struct MapPre {
+    ntiles: usize,
     /// Per tile: neighbours in `Direction::ALL` (N,E,S,W) order,
     /// deduplicated — the order home pinning and re-computation probe
     /// sites.
@@ -79,14 +84,31 @@ pub struct MapPre {
     /// Per tile: the same neighbours sorted by ascending tile id — the
     /// order the routing BFS expands.
     nbr_sorted: Vec<Vec<TileId>>,
+    /// Row-major all-pairs torus hop distance (`u16`: exact for any
+    /// geometry whose tables fit in memory).
+    dist: Vec<u16>,
+    /// Row-major per preferred tile: the order [`Partial`] probes home
+    /// tiles in — the tile, its neighbours in direction order, then every
+    /// other tile by `(distance, id)`.
+    pin_order: Vec<TileId>,
+    /// Context-memory words per tile.
+    cm_words: Vec<usize>,
+    /// Register-file words per tile.
+    rf_words: Vec<usize>,
+    /// Constant-register-file words per tile.
+    crf_words: Vec<usize>,
+    /// Whether each tile has a load/store unit.
+    has_lsu: Vec<bool>,
 }
 
 impl MapPre {
-    /// Precomputes the neighbourhood tables of `config`'s geometry.
+    /// Precomputes the neighbourhood, distance and resource tables of
+    /// `config`.
     pub fn new(config: &CgraConfig) -> Self {
         let geom = config.geometry();
-        let mut nbr_dir = Vec::with_capacity(geom.num_tiles());
-        let mut nbr_sorted = Vec::with_capacity(geom.num_tiles());
+        let n = geom.num_tiles();
+        let mut nbr_dir = Vec::with_capacity(n);
+        let mut nbr_sorted = Vec::with_capacity(n);
         for t in geom.tiles() {
             let dir: Vec<TileId> = geom.neighbors(t).into_iter().map(|(_, n)| n).collect();
             let mut sorted = dir.clone();
@@ -94,10 +116,57 @@ impl MapPre {
             nbr_dir.push(dir);
             nbr_sorted.push(sorted);
         }
+        let mut dist = Vec::with_capacity(n * n);
+        for a in geom.tiles() {
+            for b in geom.tiles() {
+                let d = u16::try_from(geom.distance(a, b)).unwrap_or(u16::MAX);
+                dist.push(d);
+            }
+        }
+        let mut pin_order = Vec::with_capacity(n * n);
+        let mut in_head = vec![false; n];
+        for preferred in geom.tiles() {
+            let start = pin_order.len();
+            pin_order.push(preferred);
+            pin_order.extend_from_slice(&nbr_dir[preferred.0]);
+            in_head.fill(false);
+            for &t in &pin_order[start..] {
+                in_head[t.0] = true;
+            }
+            let rest_start = pin_order.len();
+            pin_order.extend(geom.tiles().filter(|t| !in_head[t.0]));
+            pin_order[rest_start..].sort_by_key(|&t| (dist[t.0 * n + preferred.0], t));
+        }
+        let tiles = || config.tiles().map(|(_, c)| c);
         MapPre {
+            ntiles: n,
             nbr_dir,
             nbr_sorted,
+            dist,
+            pin_order,
+            cm_words: tiles().map(|c| c.cm_words).collect(),
+            rf_words: tiles().map(|c| c.rf_words).collect(),
+            crf_words: tiles().map(|c| c.crf_words).collect(),
+            has_lsu: tiles().map(|c| c.has_lsu).collect(),
         }
+    }
+
+    /// Torus hop distance between `a` and `b` (a table load).
+    #[inline]
+    pub(crate) fn distance(&self, a: TileId, b: TileId) -> usize {
+        self.dist[a.0 * self.ntiles + b.0] as usize
+    }
+
+    /// Whether `tile` has a load/store unit.
+    #[inline]
+    pub(crate) fn has_lsu(&self, tile: TileId) -> bool {
+        self.has_lsu[tile.0]
+    }
+
+    /// The home-pinning probe order for a symbol first used at
+    /// `preferred`.
+    fn pin_order(&self, preferred: TileId) -> &[TileId] {
+        &self.pin_order[preferred.0 * self.ntiles..(preferred.0 + 1) * self.ntiles]
     }
 }
 
@@ -115,15 +184,28 @@ pub struct MapCtx<'a> {
     /// one pnop — so the flow must not let earlier blocks spend the whole
     /// budget).
     pub reserve: usize,
-    /// Precomputed neighbourhood tables (see [`MapPre`]).
+    /// Precomputed neighbourhood, distance and resource tables (see
+    /// [`MapPre`]).
     pub pre: &'a MapPre,
 }
 
 impl<'a> MapCtx<'a> {
     /// Effective context capacity of `tile` for the block being mapped.
+    #[inline]
     pub fn capacity(&self, tile: TileId) -> usize {
-        self.config.tile(tile).cm_words.saturating_sub(self.reserve)
+        self.pre.cm_words[tile.0].saturating_sub(self.reserve)
     }
+}
+
+/// The parent side of the incremental memory verdicts of one expansion:
+/// whether every tile of the parent passes ACMAP and ECMAP, and the
+/// lowest frontier at which an untouched tile sitting exactly at capacity
+/// gains an idle run (`usize::MAX` when none can).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct VerdictBase {
+    acmap_ok: bool,
+    ecmap_ok: bool,
+    flip_at: usize,
 }
 
 /// Committed cross-block mapper state (updated after each block).
@@ -170,17 +252,13 @@ struct CopyInterval {
 /// it; [`Partial::rollback`] pops and applies them in reverse.
 #[derive(Debug, Clone, Copy)]
 enum UndoOp {
-    /// Pop the last placed op.
-    PopOp,
+    /// Pop the last placed op and restore its `first_cycle` entry.
+    PopOp {
+        /// Previous first-instance cycle of the popped op.
+        first: u32,
+    },
     /// Pop the last placed move.
     PopMove,
-    /// Restore `first_cycle[op]`.
-    FirstCycle {
-        /// The op.
-        op: u32,
-        /// Previous first-instance cycle.
-        old: u32,
-    },
     /// Clear the occupancy bit of `(tile, cycle)` and restore the tile's
     /// incremental counters and the global frontier.
     Occupy {
@@ -216,10 +294,14 @@ enum UndoOp {
         /// Previous ready cycle.
         old: u32,
     },
-    /// Pop the last live interval of `tile`.
-    PopInterval {
+    /// Drop a fresh copy: pop the last live interval of `tile` (still
+    /// the single cycle it was added with), its RF count and the last
+    /// avail entry of its value, and restore the tile's running peak.
+    PopCopy {
         /// The tile.
         tile: u32,
+        /// Previous running peak.
+        peak: u16,
     },
     /// Restore the start of interval `idx` of `tile`.
     IntervalStart {
@@ -230,14 +312,17 @@ enum UndoOp {
         /// Previous start cycle.
         old: u32,
     },
-    /// Restore the end of interval `idx` of `tile`.
-    IntervalEnd {
+    /// Shorten interval `idx` of `tile` back to end at `old`, taking the
+    /// extension's RF counts back out and restoring the running peak.
+    Retract {
         /// The tile.
         tile: u32,
         /// Interval index.
         idx: u32,
         /// Previous end cycle.
         old: u32,
+        /// Previous running peak.
+        peak: u16,
     },
     /// Decrement the RF live-copy counts of `tile` over `[from, to]` and
     /// restore the tile's running peak.
@@ -291,6 +376,63 @@ struct RouteVisit {
     prev_cycle: u32,
 }
 
+/// Most operands any opcode reads (`select`); validated CDFGs never
+/// exceed it.
+const MAX_ARITY: usize = 3;
+
+/// One placed op instance with its operand sources stored inline, so
+/// placing, rolling back and cloning it never touches the heap. Becomes a
+/// [`PlacedOp`] in [`Partial::into_block_mapping`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct OpInst {
+    op: OpId,
+    tile: TileId,
+    cycle: usize,
+    operands: [OperandSource; MAX_ARITY],
+    arity: u8,
+    direct_symbol_write: bool,
+}
+
+impl OpInst {
+    fn new(op: OpId, tile: TileId, cycle: usize, sources: &[OperandSource]) -> Self {
+        let mut operands = [OperandSource::Const(0); MAX_ARITY];
+        operands[..sources.len()].copy_from_slice(sources);
+        OpInst {
+            op,
+            tile,
+            cycle,
+            operands,
+            arity: sources.len() as u8,
+            direct_symbol_write: false,
+        }
+    }
+
+    fn placed(&self) -> PlacedOp {
+        PlacedOp {
+            op: self.op,
+            tile: self.tile,
+            cycle: self.cycle,
+            operands: self.operands[..self.arity as usize].to_vec(),
+            direct_symbol_write: self.direct_symbol_write,
+        }
+    }
+}
+
+/// Spare capacity a fresh clone reserves in the buffers the next binding
+/// round pushes to, so a survivor's first trials do not reallocate.
+const CLONE_HEADROOM: usize = 16;
+
+/// Clones `src` into a new vector with [`CLONE_HEADROOM`] spare slots
+/// (none for an empty `src`: most per-value tables stay empty).
+fn clone_with_headroom<T: Clone>(src: &[T]) -> Vec<T> {
+    if src.is_empty() {
+        return Vec::new();
+    }
+    let mut v = Vec::with_capacity(src.len() + CLONE_HEADROOM);
+    v.extend_from_slice(src);
+    v
+}
+
 /// One partial mapping of the current block.
 ///
 /// Candidate bindings are evaluated **in place**: take a
@@ -301,7 +443,7 @@ struct RouteVisit {
 /// survivors that seed the next binding round.
 #[derive(Debug)]
 pub struct Partial {
-    ops: Vec<PlacedOp>,
+    ops: Vec<OpInst>,
     moves: Vec<PlacedMove>,
 
     // --- flat slot occupancy + incremental context-word counters ---
@@ -329,6 +471,10 @@ pub struct Partial {
     /// Row-major live-copy count per `(tile, cycle)`
     /// (`max_schedule + 1` entries per tile).
     rf_count: Vec<u16>,
+    /// Every `rf_count` entry at a cycle `>= rf_hi` is zero, on every
+    /// tile; cloning into a recycled partial copies only the cycles below
+    /// it.
+    rf_hi: usize,
     /// Running peak of `rf_count` per tile — equals the old
     /// `max_overlap` interval scan because counts only grow (rollback
     /// restores the recorded previous peak).
@@ -365,25 +511,32 @@ pub struct Partial {
     route_visited: Vec<RouteVisit>,
     route_stamp: u32,
     route_queue: VecDeque<TileId>,
+    /// The move chain `(src, dst, cycle)` the routing BFS reconstructs.
+    route_chain: Vec<(TileId, TileId, usize)>,
     read_cands: Vec<(usize, TileId)>,
 }
 
 impl Clone for Partial {
     fn clone(&self) -> Self {
         Partial {
-            ops: self.ops.clone(),
-            moves: self.moves.clone(),
+            ops: clone_with_headroom(&self.ops),
+            moves: clone_with_headroom(&self.moves),
             occ_bits: self.occ_bits.clone(),
             instr: self.instr.clone(),
             interior: self.interior.clone(),
             occ_min: self.occ_min.clone(),
             occ_max: self.occ_max.clone(),
             frontier: self.frontier,
-            avail: self.avail.clone(),
-            intervals: self.intervals.clone(),
+            avail: self.avail.iter().map(|a| clone_with_headroom(a)).collect(),
+            intervals: self
+                .intervals
+                .iter()
+                .map(|iv| clone_with_headroom(iv))
+                .collect(),
             rf_count: self.rf_count.clone(),
+            rf_hi: self.rf_hi,
             rf_peak: self.rf_peak.clone(),
-            crf: self.crf.clone(),
+            crf: self.crf.iter().map(|c| clone_with_headroom(c)).collect(),
             homes: self.homes.clone(),
             persistent_count: self.persistent_count.clone(),
             rf_pressure: self.rf_pressure.clone(),
@@ -396,10 +549,11 @@ impl Clone for Partial {
             max_schedule: self.max_schedule,
             // Scratch and journal start fresh: a clone is taken only at a
             // consistent point (no trial in flight).
-            journal: Vec::new(),
+            journal: Vec::with_capacity(4 * CLONE_HEADROOM),
             route_visited: vec![RouteVisit::default(); self.route_visited.len()],
             route_stamp: 0,
             route_queue: VecDeque::new(),
+            route_chain: Vec::new(),
             read_cands: Vec::new(),
         }
     }
@@ -418,7 +572,19 @@ impl Clone for Partial {
         self.frontier = src.frontier;
         clone_nested(&mut self.avail, &src.avail);
         clone_nested(&mut self.intervals, &src.intervals);
-        self.rf_count.clone_from(&src.rf_count);
+        if self.rf_count.len() == src.rf_count.len() {
+            let stride = src.max_schedule + 1;
+            copy_rf_prefix(
+                &mut self.rf_count,
+                self.rf_hi,
+                &src.rf_count,
+                src.rf_hi,
+                stride,
+            );
+        } else {
+            self.rf_count.clone_from(&src.rf_count);
+        }
+        self.rf_hi = src.rf_hi;
         self.rf_peak.clone_from(&src.rf_peak);
         clone_nested(&mut self.crf, &src.crf);
         self.homes.clone_from(&src.homes);
@@ -438,6 +604,18 @@ impl Clone for Partial {
     }
 }
 
+/// Copies the per-tile RF counts below cycle `src_hi` from `src` into
+/// `dst` (rows of `stride` cycles), zeroing `dst`'s old counts up to
+/// `dst_hi` — both buffers are zero at and above their bounds.
+fn copy_rf_prefix(dst: &mut [u16], dst_hi: usize, src: &[u16], src_hi: usize, stride: usize) {
+    for (d, s) in dst.chunks_exact_mut(stride).zip(src.chunks_exact(stride)) {
+        d[..src_hi].copy_from_slice(&s[..src_hi]);
+        if dst_hi > src_hi {
+            d[src_hi..dst_hi].fill(0);
+        }
+    }
+}
+
 /// Clones a `Vec<Vec<T>>` reusing every inner buffer of the destination
 /// (plain `Vec::clone_from` would drop and reallocate the inner vectors).
 fn clone_nested<T: Clone>(dst: &mut Vec<Vec<T>>, src: &[Vec<T>]) {
@@ -446,7 +624,7 @@ fn clone_nested<T: Clone>(dst: &mut Vec<Vec<T>>, src: &[Vec<T>]) {
         d.clone_from(s);
     }
     let have = dst.len();
-    dst.extend(src[have..].iter().cloned());
+    dst.extend(src[have..].iter().map(|s| clone_with_headroom(s)));
 }
 
 impl Partial {
@@ -473,6 +651,7 @@ impl Partial {
             avail: vec![Vec::new(); num_values],
             intervals: vec![Vec::new(); n],
             rf_count: vec![0; n * (max_schedule + 1)],
+            rf_hi: 0,
             rf_peak: vec![0; n],
             crf: state.crf.clone(),
             homes,
@@ -489,6 +668,7 @@ impl Partial {
             route_visited: vec![RouteVisit::default(); n],
             route_stamp: 0,
             route_queue: VecDeque::new(),
+            route_chain: Vec::new(),
             read_cands: Vec::new(),
         }
     }
@@ -508,20 +688,27 @@ impl Partial {
         self.journal.len() > cp
     }
 
+    /// Tiles that gained an instruction since `cp` (with repeats): the
+    /// only tiles whose instruction and run counters a trial changed.
+    fn touched_since(&self, cp: usize) -> impl Iterator<Item = TileId> + '_ {
+        self.journal[cp..].iter().filter_map(|e| match *e {
+            UndoOp::Occupy { tile, .. } => Some(TileId(tile as usize)),
+            _ => None,
+        })
+    }
+
     /// Undoes every mutation since `cp`, restoring the exact state the
     /// checkpoint observed.
     pub fn rollback(&mut self, cp: usize) {
         while self.journal.len() > cp {
             let e = self.journal.pop().expect("len > cp");
             match e {
-                UndoOp::PopOp => {
-                    self.ops.pop();
+                UndoOp::PopOp { first } => {
+                    let inst = self.ops.pop().expect("journaled op");
+                    self.first_cycle[inst.op.0 as usize] = first;
                 }
                 UndoOp::PopMove => {
                     self.moves.pop();
-                }
-                UndoOp::FirstCycle { op, old } => {
-                    self.first_cycle[op as usize] = old;
                 }
                 UndoOp::Occupy {
                     tile,
@@ -549,14 +736,30 @@ impl Partial {
                 UndoOp::AvailReady { value, idx, old } => {
                     self.avail[value as usize][idx as usize].1 = old;
                 }
-                UndoOp::PopInterval { tile } => {
-                    self.intervals[tile as usize].pop();
+                UndoOp::PopCopy { tile, peak } => {
+                    let iv = self.intervals[tile as usize].pop().expect("journaled copy");
+                    self.rf_count[tile as usize * (self.max_schedule + 1) + iv.start] -= 1;
+                    self.rf_peak[tile as usize] = peak;
+                    self.avail[iv.value.0 as usize].pop();
                 }
                 UndoOp::IntervalStart { tile, idx, old } => {
                     self.intervals[tile as usize][idx as usize].start = old as usize;
                 }
-                UndoOp::IntervalEnd { tile, idx, old } => {
-                    self.intervals[tile as usize][idx as usize].end = old as usize;
+                UndoOp::Retract {
+                    tile,
+                    idx,
+                    old,
+                    peak,
+                } => {
+                    let t = tile as usize;
+                    let iv = &mut self.intervals[t][idx as usize];
+                    let (from, to) = (old as usize + 1, iv.end);
+                    iv.end = old as usize;
+                    let base = t * (self.max_schedule + 1);
+                    for c in &mut self.rf_count[base + from..=base + to] {
+                        *c -= 1;
+                    }
+                    self.rf_peak[t] = peak;
                 }
                 UndoOp::RfDec {
                     tile,
@@ -600,8 +803,8 @@ impl Partial {
     // ------------------------------------------------------------------
 
     /// Placed operation instances so far.
-    pub fn placed_ops(&self) -> &[PlacedOp] {
-        &self.ops
+    pub fn placed_ops(&self) -> impl ExactSizeIterator<Item = PlacedOp> + '_ {
+        self.ops.iter().map(OpInst::placed)
     }
 
     /// Inserted moves so far.
@@ -639,7 +842,8 @@ impl Partial {
     // Slot occupancy (bitset + incremental run counters)
     // ------------------------------------------------------------------
 
-    fn slot_free(&self, t: TileId, c: usize) -> bool {
+    /// Whether `(t, c)` holds no instruction yet.
+    pub(crate) fn slot_free(&self, t: TileId, c: usize) -> bool {
         self.occ_bits[t.0 * self.words_per_tile + c / 64] & (1u64 << (c % 64)) == 0
     }
 
@@ -769,6 +973,74 @@ impl Partial {
         self.ecmap_words(tile) >= ctx.capacity(tile)
     }
 
+    /// The parent half of the incremental ACMAP/ECMAP verdicts, taken at
+    /// a checkpoint before the trials of one expansion (see
+    /// [`child_verdicts`](Partial::child_verdicts)).
+    pub(crate) fn verdict_base(&self, ctx: &MapCtx<'_>) -> VerdictBase {
+        let mut base = VerdictBase {
+            acmap_ok: true,
+            ecmap_ok: true,
+            flip_at: usize::MAX,
+        };
+        for t in 0..self.instr.len() {
+            let tile = TileId(t);
+            let cap = ctx.capacity(tile);
+            if ctx.options.acmap && self.acmap_words(tile) > cap {
+                base.acmap_ok = false;
+            }
+            if ctx.options.ecmap {
+                let words = self.ecmap_words(tile);
+                if words > cap {
+                    base.ecmap_ok = false;
+                } else if words == cap {
+                    // A full tile the trial leaves alone still overflows
+                    // once the frontier grows it one more idle run: the
+                    // trailing run of a busy tile, the leading run of an
+                    // idle tile while nothing is placed yet.
+                    if self.instr[t] == 0 {
+                        if self.frontier == 0 {
+                            base.flip_at = base.flip_at.min(1);
+                        }
+                    } else if self.occ_max[t] as usize + 1 >= self.frontier {
+                        base.flip_at = base.flip_at.min(self.occ_max[t] as usize + 2);
+                    }
+                }
+            }
+        }
+        base
+    }
+
+    /// ACMAP and ECMAP verdicts of the trial applied since `cp`, equal to
+    /// [`acmap_filter`](crate::acmap_filter) and
+    /// [`ecmap_filter`](crate::ecmap_filter) on the trial's state (a
+    /// disabled filter passes everything).
+    ///
+    /// A tile's words never decrease: filling an idle cycle cannot lower
+    /// instructions + idle runs, and neither can a larger frontier. So a
+    /// tile the trial did not touch keeps its parent ACMAP words, and its
+    /// ECMAP words grow by one exactly when the frontier reaches the
+    /// [`VerdictBase`]'s flip threshold; only the touched tiles need a
+    /// fresh look.
+    pub(crate) fn child_verdicts(
+        &self,
+        ctx: &MapCtx<'_>,
+        base: &VerdictBase,
+        cp: usize,
+    ) -> (bool, bool) {
+        let acmap_ok = !ctx.options.acmap
+            || (base.acmap_ok
+                && self
+                    .touched_since(cp)
+                    .all(|t| self.acmap_words(t) <= ctx.capacity(t)));
+        let ecmap_ok = !ctx.options.ecmap
+            || (base.ecmap_ok
+                && self.frontier < base.flip_at
+                && self
+                    .touched_since(cp)
+                    .all(|t| self.ecmap_words(t) <= ctx.capacity(t)));
+        (acmap_ok, ecmap_ok)
+    }
+
     // ------------------------------------------------------------------
     // Register-file intervals (flat per-cycle live-copy counts)
     // ------------------------------------------------------------------
@@ -776,10 +1048,7 @@ impl Partial {
     /// Block-local registers available on `tile` (RF minus persistent
     /// symbol registers).
     fn local_cap(&self, ctx: &MapCtx<'_>, tile: TileId) -> usize {
-        ctx.config
-            .tile(tile)
-            .rf_words
-            .saturating_sub(self.persistent_count[tile.0])
+        ctx.pre.rf_words[tile.0].saturating_sub(self.persistent_count[tile.0])
     }
 
     /// Peak occupancy of `tile` over the whole block so far.
@@ -797,28 +1066,33 @@ impl Partial {
     }
 
     /// Increments the live-copy counts of `tile` over `[from, to]`,
-    /// maintaining the running peak (journaled).
-    fn rf_inc(&mut self, tile: TileId, from: usize, to: usize) {
-        self.journal.push(UndoOp::RfDec {
-            tile: tile.0 as u32,
-            from: from as u32,
-            to: to as u32,
-            peak: self.rf_peak[tile.0],
-        });
+    /// maintaining the running peak. Not journaled: the caller records the
+    /// returned previous peak in its own undo record.
+    fn rf_inc(&mut self, tile: TileId, from: usize, to: usize) -> u16 {
+        self.rf_hi = self.rf_hi.max(to + 1);
         let base = tile.0 * (self.max_schedule + 1);
-        let mut peak = self.rf_peak[tile.0];
+        let old_peak = self.rf_peak[tile.0];
+        let mut peak = old_peak;
         for c in &mut self.rf_count[base + from..=base + to] {
             *c += 1;
             peak = peak.max(*c);
         }
         self.rf_peak[tile.0] = peak;
+        old_peak
     }
 
     /// Registers a copy of `v` on `tile` written at the end of cycle
     /// `ready - 1` (readable from `ready`). Fails when the RF is full at
     /// that point.
     fn try_add_copy(&mut self, ctx: &MapCtx<'_>, tile: TileId, v: ValueId, ready: usize) -> bool {
-        if let Some(pos) = self.intervals[tile.0].iter().position(|iv| iv.value == v) {
+        // Every interval has an avail entry, so a value without copies
+        // (a fresh result) needs no interval scan.
+        let existing = if self.avail[v.0 as usize].is_empty() {
+            None
+        } else {
+            self.intervals[tile.0].iter().position(|iv| iv.value == v)
+        };
+        if let Some(pos) = existing {
             // Re-computed duplicate: widen the interval start if needed.
             let old_start = self.intervals[tile.0][pos].start;
             if ready < old_start {
@@ -831,7 +1105,13 @@ impl Partial {
                     old: old_start as u32,
                 });
                 self.intervals[tile.0][pos].start = ready;
-                self.rf_inc(tile, ready, old_start - 1);
+                let peak = self.rf_inc(tile, ready, old_start - 1);
+                self.journal.push(UndoOp::RfDec {
+                    tile: tile.0 as u32,
+                    from: ready as u32,
+                    to: (old_start - 1) as u32,
+                    peak,
+                });
                 if let Some(idx) = self.avail[v.0 as usize]
                     .iter()
                     .position(|&(t, _)| t == tile)
@@ -849,17 +1129,17 @@ impl Partial {
         if !self.range_has_room(ctx, tile, ready, ready) {
             return false;
         }
-        self.journal.push(UndoOp::PopInterval {
-            tile: tile.0 as u32,
-        });
         self.intervals[tile.0].push(CopyInterval {
             value: v,
             start: ready,
             end: ready,
         });
-        self.rf_inc(tile, ready, ready);
-        self.journal.push(UndoOp::PopAvail { value: v.0 });
+        let peak = self.rf_inc(tile, ready, ready);
         self.avail[v.0 as usize].push((tile, ready as u32));
+        self.journal.push(UndoOp::PopCopy {
+            tile: tile.0 as u32,
+            peak,
+        });
         true
     }
 
@@ -888,13 +1168,14 @@ impl Partial {
         if !self.range_has_room(ctx, tile, end + 1, cycle) {
             return false;
         }
-        self.journal.push(UndoOp::IntervalEnd {
+        self.intervals[tile.0][pos].end = cycle;
+        let peak = self.rf_inc(tile, end + 1, cycle);
+        self.journal.push(UndoOp::Retract {
             tile: tile.0 as u32,
             idx: pos as u32,
             old: end as u32,
+            peak,
         });
-        self.intervals[tile.0][pos].end = cycle;
-        self.rf_inc(tile, end + 1, cycle);
         true
     }
 
@@ -908,12 +1189,11 @@ impl Partial {
         tile: TileId,
         cycle: usize,
     ) -> Option<TileId> {
-        let geom = ctx.config.geometry();
         let mut cands = std::mem::take(&mut self.read_cands);
         cands.clear();
         for &(t, ready) in &self.avail[v.0 as usize] {
             if ready as usize <= cycle {
-                let d = geom.distance(t, tile);
+                let d = ctx.pre.distance(t, tile);
                 if d <= 1 {
                     cands.push((d, t));
                 }
@@ -953,24 +1233,12 @@ impl Partial {
     /// the current block's peak local pressure *and* the peak pressure of
     /// every previously committed block.
     fn pin_home(&mut self, ctx: &MapCtx<'_>, s: SymbolId, preferred: TileId) -> Option<TileId> {
-        let geom = ctx.config.geometry();
-        let ntiles = geom.num_tiles();
-        let mut candidates: Vec<TileId> = Vec::with_capacity(ntiles);
-        candidates.push(preferred);
-        candidates.extend_from_slice(&ctx.pre.nbr_dir[preferred.0]);
-        // Fall back to every tile by distance, then id — membership via a
-        // tile mask instead of a linear `contains` scan per tile.
-        let mut in_cand = vec![false; ntiles];
-        for &t in &candidates {
-            in_cand[t.0] = true;
-        }
-        let mut rest: Vec<TileId> = geom.tiles().filter(|t| !in_cand[t.0]).collect();
-        rest.sort_by_key(|&t| (geom.distance(t, preferred), t));
-        candidates.extend(rest);
-        for home in candidates {
-            let cap = ctx.config.tile(home).rf_words;
+        // The tile, its neighbours, then every tile by distance and id
+        // (precomputed in `MapPre`).
+        for &home in ctx.pre.pin_order(preferred) {
+            let cap = ctx.pre.rf_words[home.0];
             let pressure = self.rf_pressure[home.0].max(self.max_overlap(home));
-            if self.persistent_count[home.0] + pressure + 1 <= cap {
+            if self.persistent_count[home.0] + pressure < cap {
                 self.journal.push(UndoOp::UnpinHome {
                     symbol: s.0,
                     home: home.0 as u32,
@@ -984,7 +1252,7 @@ impl Partial {
                     .ops
                     .iter()
                     .filter(|po| ctx.cdfg.op(po.op).writes_symbol == Some(s))
-                    .map(|po| geom.distance(po.tile, home))
+                    .map(|po| ctx.pre.distance(po.tile, home))
                     .sum();
                 self.commit_debt += writer_debt;
                 return Some(home);
@@ -1045,7 +1313,18 @@ impl Partial {
         dest: TileId,
         need: usize,
     ) -> Option<TileId> {
-        let geom = ctx.config.geometry();
+        // Hop bound: each move takes one cycle and one hop, and the chain
+        // needs at least one move ending next to `dest`, so a copy ready at
+        // `r` that is `d` hops away cannot arrive unless
+        // `r + max(1, d - 1) <= need`. When no copy can, the BFS below
+        // would find nothing either.
+        let in_reach = self.avail[v.0 as usize].iter().any(|&(t, ready)| {
+            let hops = ctx.pre.distance(t, dest).saturating_sub(1).max(1);
+            ready as usize + hops <= need
+        });
+        if !in_reach {
+            return None;
+        }
         // BFS by move count over tiles; per tile keep the earliest ready.
         // The visited table is a stamped per-tile scratch array — no
         // hashing, no per-call allocation.
@@ -1053,11 +1332,9 @@ impl Partial {
         let stamp = self.route_stamp;
         let mut queue = std::mem::take(&mut self.route_queue);
         queue.clear();
-        let mut any_start = false;
         for i in 0..self.avail[v.0 as usize].len() {
             let (t, ready) = self.avail[v.0 as usize][i];
             if (ready as usize) < need {
-                any_start = true;
                 let vis = &mut self.route_visited[t.0];
                 if vis.stamp != stamp || ready < vis.ready {
                     *vis = RouteVisit {
@@ -1069,10 +1346,6 @@ impl Partial {
                     queue.push_back(t);
                 }
             }
-        }
-        if !any_start {
-            self.route_queue = queue;
-            return None;
         }
         let mut goal: Option<TileId> = None;
         'bfs: while let Some(x) = queue.pop_front() {
@@ -1107,7 +1380,7 @@ impl Partial {
                     prev_tile: x.0 as u32,
                     prev_cycle: m as u32,
                 };
-                if geom.distance(y, dest) <= 1 {
+                if ctx.pre.distance(y, dest) <= 1 {
                     goal = Some(y);
                     break 'bfs;
                 }
@@ -1117,7 +1390,8 @@ impl Partial {
         self.route_queue = queue;
         let goal = goal?;
         // Reconstruct and apply the move chain from the start copy.
-        let mut chain: Vec<(TileId, TileId, usize)> = Vec::new(); // (src, dst, cycle)
+        let mut chain = std::mem::take(&mut self.route_chain);
+        chain.clear();
         let mut cur = goal;
         while self.route_visited[cur.0].prev_tile != u32::MAX {
             let vis = self.route_visited[cur.0];
@@ -1125,29 +1399,43 @@ impl Partial {
             chain.push((prev, cur, vis.prev_cycle as usize));
             cur = prev;
         }
-        chain.reverse();
-        for &(src, dst, m) in &chain {
-            // Each hop reads the previous copy at cycle m (extending its
-            // interval) and writes a new copy on dst.
-            if !self.try_extend_use(ctx, src, v, m) {
-                return None;
-            }
-            self.note_home_read(ctx, v, src, m);
-            if !self.try_add_copy(ctx, dst, v, m + 1) {
-                return None;
-            }
-            self.occupy(dst, m);
-            self.journal.push(UndoOp::PopMove);
-            self.moves.push(PlacedMove {
-                value: v,
-                src_tile: src,
-                tile: dst,
-                cycle: m,
-                commit_symbol: None,
-            });
-        }
+        let applied = chain
+            .iter()
+            .rev()
+            .all(|&(src, dst, m)| self.apply_move(ctx, v, src, dst, m));
+        self.route_chain = chain;
         // The consumer's read extends the goal copy via the caller.
-        Some(goal)
+        applied.then_some(goal)
+    }
+
+    /// Applies one routing hop: the move on `dst` at cycle `m` reads the
+    /// copy of `v` on `src` (extending its interval) and writes a new copy
+    /// on `dst`. Fails (dirty) when either register file is full.
+    fn apply_move(
+        &mut self,
+        ctx: &MapCtx<'_>,
+        v: ValueId,
+        src: TileId,
+        dst: TileId,
+        m: usize,
+    ) -> bool {
+        if !self.try_extend_use(ctx, src, v, m) {
+            return false;
+        }
+        self.note_home_read(ctx, v, src, m);
+        if !self.try_add_copy(ctx, dst, v, m + 1) {
+            return false;
+        }
+        self.occupy(dst, m);
+        self.journal.push(UndoOp::PopMove);
+        self.moves.push(PlacedMove {
+            value: v,
+            src_tile: src,
+            tile: dst,
+            cycle: m,
+            commit_symbol: None,
+        });
+        true
     }
 
     /// Re-computing transformation: duplicates `producer` (a non-memory op
@@ -1171,40 +1459,40 @@ impl Partial {
         }
         // Depth-1 only: every operand must be a constant or a pinned
         // symbol whose home is adjacent to the duplicate's tile.
-        let geom = ctx.config.geometry();
-        let mut sites: Vec<TileId> = Vec::with_capacity(5);
-        sites.push(tile);
-        sites.extend_from_slice(&ctx.pre.nbr_dir[tile.0]);
-        'site: for t2 in sites {
+        let nbrs = &ctx.pre.nbr_dir[tile.0];
+        let mut sites = [tile; 5];
+        sites[1..=nbrs.len()].copy_from_slice(nbrs);
+        'site: for &t2 in &sites[..=nbrs.len()] {
             if ctx.options.cab && self.blacklisted(ctx, t2) {
                 continue;
             }
             // Check operands are resolvable at t2 without routing.
-            let mut sources = Vec::with_capacity(op.args.len());
-            for &a in &op.args {
-                match ctx.cdfg.value(a).kind {
+            let mut sources = [OperandSource::Const(0); MAX_ARITY];
+            for (slot, &a) in sources.iter_mut().zip(&op.args) {
+                *slot = match ctx.cdfg.value(a).kind {
                     ValueKind::Const(c) => {
                         let in_crf = self.crf[t2.0].contains(&c);
-                        if !in_crf && self.crf[t2.0].len() >= ctx.config.tile(t2).crf_words {
+                        if !in_crf && self.crf[t2.0].len() >= ctx.pre.crf_words[t2.0] {
                             continue 'site;
                         }
-                        sources.push(OperandSource::Const(c));
+                        OperandSource::Const(c)
                     }
                     ValueKind::SymbolUse(s) => {
                         let Some(home) = self.homes[s.0 as usize] else {
                             continue 'site;
                         };
-                        if geom.distance(home, t2) > 1 {
+                        if ctx.pre.distance(home, t2) > 1 {
                             continue 'site;
                         }
-                        sources.push(OperandSource::Rf {
+                        OperandSource::Rf {
                             tile: home,
                             value: a,
-                        });
+                        }
                     }
                     ValueKind::Def(_) => continue 'site,
-                }
+                };
             }
+            let sources = &sources[..op.args.len()];
             // Earliest free slot before `before` with RF room for the
             // duplicated result.
             let mut c2 = 0;
@@ -1219,7 +1507,7 @@ impl Partial {
             };
             let Some(c2) = slot else { continue };
             // Apply.
-            for src in &sources {
+            for src in sources {
                 match *src {
                     OperandSource::Const(c) => {
                         if !self.crf[t2.0].contains(&c) {
@@ -1237,13 +1525,7 @@ impl Partial {
                 continue;
             }
             self.occupy(t2, c2);
-            self.push_op(PlacedOp {
-                op: producer,
-                tile: t2,
-                cycle: c2,
-                operands: sources,
-                direct_symbol_write: false,
-            });
+            self.push_op(OpInst::new(producer, t2, c2, sources));
             return true;
         }
         false
@@ -1251,15 +1533,11 @@ impl Partial {
 
     /// Appends a placed op, maintaining the dense first-instance-cycle
     /// table (journaled).
-    fn push_op(&mut self, po: PlacedOp) {
-        let op = po.op.0;
-        let old = self.first_cycle[op as usize];
-        if (po.cycle as u32) < old {
-            self.journal.push(UndoOp::FirstCycle { op, old });
-            self.first_cycle[op as usize] = po.cycle as u32;
-        }
-        self.journal.push(UndoOp::PopOp);
-        self.ops.push(po);
+    fn push_op(&mut self, inst: OpInst) {
+        let first = &mut self.first_cycle[inst.op.0 as usize];
+        self.journal.push(UndoOp::PopOp { first: *first });
+        *first = (*first).min(inst.cycle as u32);
+        self.ops.push(inst);
     }
 
     /// Attempts to bind `op` on `(tile, cycle)`, resolving all operands
@@ -1274,26 +1552,43 @@ impl Partial {
         tile: TileId,
         cycle: usize,
     ) -> bool {
+        if cycle >= ctx.options.max_schedule || !self.slot_free(tile, cycle) {
+            return false;
+        }
+        if !self.tile_open(ctx, op_id, tile) {
+            return false;
+        }
+        self.place_on_open_tile(ctx, op_id, tile, cycle)
+    }
+
+    /// Whether `tile` may take `op` at all in the current state: LSU
+    /// legality and the CAB blacklist. Neither depends on the cycle, so
+    /// candidate expansion decides it once per tile.
+    pub(crate) fn tile_open(&self, ctx: &MapCtx<'_>, op_id: OpId, tile: TileId) -> bool {
+        if ctx.cdfg.op(op_id).opcode.is_memory() && !ctx.pre.has_lsu(tile) {
+            return false;
+        }
+        !(ctx.options.cab && self.blacklisted(ctx, tile))
+    }
+
+    /// The mutating half of [`try_place_op`](Partial::try_place_op), for a
+    /// free in-range slot on a tile that passed
+    /// [`tile_open`](Partial::tile_open).
+    pub(crate) fn place_on_open_tile(
+        &mut self,
+        ctx: &MapCtx<'_>,
+        op_id: OpId,
+        tile: TileId,
+        cycle: usize,
+    ) -> bool {
         let op = ctx.cdfg.op(op_id);
-        if cycle >= ctx.options.max_schedule {
-            return false;
-        }
-        if !self.slot_free(tile, cycle) {
-            return false;
-        }
-        if op.opcode.is_memory() && !ctx.config.tile(tile).has_lsu {
-            return false;
-        }
-        if ctx.options.cab && self.blacklisted(ctx, tile) {
-            return false;
-        }
-        let mut sources = Vec::with_capacity(op.args.len());
-        for &a in &op.args {
-            match ctx.cdfg.value(a).kind {
+        let mut sources = [OperandSource::Const(0); MAX_ARITY];
+        for (slot, &a) in sources.iter_mut().zip(&op.args) {
+            *slot = match ctx.cdfg.value(a).kind {
                 ValueKind::Const(c) => {
                     let in_crf = self.crf[tile.0].contains(&c);
                     if !in_crf {
-                        if self.crf[tile.0].len() >= ctx.config.tile(tile).crf_words {
+                        if self.crf[tile.0].len() >= ctx.pre.crf_words[tile.0] {
                             return false;
                         }
                         self.journal.push(UndoOp::PopCrf {
@@ -1301,7 +1596,7 @@ impl Partial {
                         });
                         self.crf[tile.0].push(c);
                     }
-                    sources.push(OperandSource::Const(c));
+                    OperandSource::Const(c)
                 }
                 _ => {
                     let src = match self.ensure_readable(ctx, a, tile, cycle) {
@@ -1321,12 +1616,12 @@ impl Partial {
                             }
                         }
                     };
-                    sources.push(OperandSource::Rf {
+                    OperandSource::Rf {
                         tile: src,
                         value: a,
-                    });
+                    }
                 }
-            }
+            };
         }
         if let Some(r) = op.result {
             if !self.try_add_copy(ctx, tile, r, cycle + 1) {
@@ -1339,16 +1634,10 @@ impl Partial {
                 self.journal.push(UndoOp::CommitDebt {
                     old: self.commit_debt,
                 });
-                self.commit_debt += ctx.config.geometry().distance(tile, home);
+                self.commit_debt += ctx.pre.distance(tile, home);
             }
         }
-        self.push_op(PlacedOp {
-            op: op_id,
-            tile,
-            cycle,
-            operands: sources,
-            direct_symbol_write: false,
-        });
+        self.push_op(OpInst::new(op_id, tile, cycle, &sources[..op.args.len()]));
         true
     }
 
@@ -1458,7 +1747,7 @@ impl Partial {
         }
         self.length = self.frontier.max(1);
         if ctx.options.memory_aware() {
-            for t in ctx.config.geometry().tiles() {
+            for t in (0..self.instr.len()).map(TileId) {
                 if self.exact_words(t, self.length) > ctx.capacity(t) {
                     return false;
                 }
@@ -1488,7 +1777,7 @@ impl Partial {
         assert!(self.length > 0, "finalize the partial first");
         BlockMapping {
             length: self.length,
-            ops: self.ops,
+            ops: self.ops.iter().map(OpInst::placed).collect(),
             moves: self.moves,
         }
     }
@@ -1748,12 +2037,11 @@ mod tests {
         assert!(p.try_place_op(&ctx, ops[1], TileId(1), 3));
         assert!(p.try_place_op(&ctx, ops[2], TileId(1), 5));
         assert!(p.finalize(&ctx, cmam_cdfg::BlockId(0)));
-        for i in 0..16 {
+        for (i, &words) in before.iter().enumerate() {
             let t = TileId(i);
             assert!(
-                before[i] <= p.exact_words(t, p.length()),
-                "tile {t}: {} > {}",
-                before[i],
+                words <= p.exact_words(t, p.length()),
+                "tile {t}: {words} > {}",
                 p.exact_words(t, p.length())
             );
         }
@@ -1817,6 +2105,33 @@ mod tests {
         assert!(p.try_place_op(&ctx, ops[1], TileId(0), 1));
         assert!(p.try_place_op(&ctx, ops[2], TileId(0), 2));
         assert!(p.finalize(&ctx, cmam_cdfg::BlockId(0)));
+    }
+
+    #[test]
+    fn a_full_idle_tile_fails_ecmap_once_the_block_starts() {
+        // Tile 5 is idle in this block but its context memory is already
+        // full: at frontier 0 it passes ECMAP, and any placement elsewhere
+        // gives it a leading idle run, one word too many.
+        let (cdfg, _, _) = ctx_objects();
+        let config = CgraConfig::builder(4, 4).uniform_cm(16).build().unwrap();
+        let options = MapperOptions::context_aware();
+        let pre = MapPre::new(&config);
+        let ctx = MapCtx {
+            cdfg: &cdfg,
+            config: &config,
+            options: &options,
+            reserve: 0,
+            pre: &pre,
+        };
+        let mut state = FlowState::new(16);
+        state.base_words[5] = 16;
+        let mut p = Partial::new(&state, &ctx);
+        let ops: Vec<OpId> = cdfg.dfg(cmam_cdfg::BlockId(0)).op_ids().to_vec();
+        let base = p.verdict_base(&ctx);
+        let cp = p.checkpoint();
+        assert!(p.try_place_op(&ctx, ops[0], TileId(0), 0));
+        assert_eq!(p.child_verdicts(&ctx, &base, cp), (true, false));
+        assert_eq!(crate::prune::ecmap_filter(&mut vec![p.clone()], &ctx), 1);
     }
 
     #[test]

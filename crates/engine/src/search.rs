@@ -80,6 +80,7 @@
 //!      margin to spare — races it out. This prunes hopeless shapes
 //!      without ever completing them, while a shape whose strength is
 //!      cycles keeps a projected cycle total no eliminator can reach.
+//!
 //!    Racing is a heuristic: prefix dominance does not *prove*
 //!    full-mix dominance. It is empirically exact on the validation
 //!    space (asserted by tests and gated in CI), and on generated

@@ -79,16 +79,13 @@ fn eviction_keeps_the_store_within_budget_without_corrupting_survivors() {
     // eviction must never leave a corrupt readable entry.
     let mut survivors = 0usize;
     for (key, result) in &stored {
-        match cache.load(*key) {
-            Some(found) => {
-                assert_eq!(
-                    digest_of(&found),
-                    digest_of(result),
-                    "surviving artifact corrupted"
-                );
-                survivors += 1;
-            }
-            None => {}
+        if let Some(found) = cache.load(*key) {
+            assert_eq!(
+                digest_of(&found),
+                digest_of(result),
+                "surviving artifact corrupted"
+            );
+            survivors += 1;
         }
     }
     assert!(survivors >= 1, "budget fits at least the newest artifact");

@@ -69,8 +69,7 @@ pub fn reference(mem: &[i32]) -> Vec<i32> {
     let mut out = Vec::with_capacity(LEN);
     let mut xprev = 0i32;
     let mut yprev = 0i32;
-    for n in 0..LEN {
-        let x = mem[n];
+    for &x in &mem[..LEN] {
         let y = x
             .wrapping_sub(xprev)
             .wrapping_add(yprev.wrapping_mul(A_Q8) >> Q);

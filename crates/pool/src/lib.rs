@@ -469,7 +469,7 @@ mod tests {
         let pool = ThreadPool::new();
         let a = pool.run_indexed(8, 3, |i| i);
         let spawned = pool.workers_spawned();
-        assert!(spawned >= 1 && spawned <= 2, "lazy spawn up to threads-1");
+        assert!((1..=2).contains(&spawned), "lazy spawn up to threads-1");
         let b = pool.run_indexed(8, 3, |i| i);
         assert_eq!(a, b);
         assert_eq!(

@@ -485,6 +485,10 @@ impl DecodedProgram {
                             cycles[l as usize] += extra;
                             stalls[l as usize] += extra;
                         }
+                        #[allow(
+                            clippy::needless_range_loop,
+                            reason = "`mi` also strides the op-major address and value rows"
+                        )]
                         for mi in 0..nmem {
                             let wi = mem_wi[mi];
                             let base = mi * ncoh;

@@ -171,6 +171,10 @@ mod tests {
         let cdfg = sum_squares_cdfg(8, 100);
         let config = CgraConfig::hom64();
         let mut init = vec![0i32; 128];
+        #[allow(
+            clippy::needless_range_loop,
+            reason = "the index is the stored value's source"
+        )]
         for i in 0..8 {
             init[i] = (i as i32) + 1;
         }

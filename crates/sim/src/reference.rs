@@ -101,6 +101,10 @@ pub fn simulate_reference(
         let length = binary.block_lengths[block];
         let mut br_flag = false;
 
+        #[allow(
+            clippy::needless_range_loop,
+            reason = "the executable spec reads cycle by cycle, as the hardware steps"
+        )]
         for cycle in 0..length {
             stats.cycles += 1;
             if stats.cycles > options.max_cycles {
