@@ -55,7 +55,11 @@ fn main() {
                 lanes = args
                     .get(i)
                     .and_then(|v| v.parse().ok())
-                    .expect("--lanes needs a positive integer");
+                    .filter(|&n: &usize| n > 0)
+                    .unwrap_or_else(|| {
+                        eprintln!("input_sweep: --lanes needs a positive integer");
+                        std::process::exit(2);
+                    });
             }
             "--input-seed" => {
                 i += 1;
@@ -85,8 +89,6 @@ fn main() {
         }
         i += 1;
     }
-    assert!(lanes > 0, "--lanes must be positive");
-
     let mut specs = cmam_kernels::all();
     specs.extend(GenCli::from_args().specs());
     let config = cmam_arch::CgraConfig::hom64();

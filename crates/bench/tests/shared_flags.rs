@@ -40,8 +40,15 @@ fn input_sweep_accepts_the_shared_flags_and_a_hex_seed() {
             == "Kernel,run,lanes ok,agg cycles,Mcyc/s,cohort sz,diverge,uJ min,uJ mean,uJ max"),
         "no CSV block in:\n{stdout}"
     );
-    // Unknown flags and malformed seeds are still usage errors.
-    for bad in [&["--bogus"][..], &["--input-seed", "0xnope"]] {
+    // Unknown flags, malformed seeds and missing, malformed or zero
+    // lane counts are usage errors.
+    for bad in [
+        &["--bogus"][..],
+        &["--input-seed", "0xnope"],
+        &["--lanes", "0"],
+        &["--lanes", "abc"],
+        &["--lanes"],
+    ] {
         let out = run(env!("CARGO_BIN_EXE_input_sweep"), bad);
         assert_eq!(out.status.code(), Some(2), "input_sweep {bad:?}");
     }

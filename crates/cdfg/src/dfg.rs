@@ -88,18 +88,17 @@ impl<'a> Dfg<'a> {
 
     /// Data nodes referenced by this block (operands and results), in
     /// first-appearance order, deduplicated.
+    ///
+    /// Value ids are dense per CDFG, so the walk dedups through a flag
+    /// table indexed by id rather than a hash set: the engine's job key
+    /// walks every block, and hashing each operand would dominate it.
     pub fn values(&self) -> Vec<&'a Value> {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = vec![false; self.cdfg.num_values()];
         let mut out = Vec::new();
         for op in self.ops() {
-            for &a in &op.args {
-                if seen.insert(a) {
-                    out.push(self.cdfg.value(a));
-                }
-            }
-            if let Some(r) = op.result {
-                if seen.insert(r) {
-                    out.push(self.cdfg.value(r));
+            for &v in op.args.iter().chain(&op.result) {
+                if !std::mem::replace(&mut seen[v.0 as usize], true) {
+                    out.push(self.cdfg.value(v));
                 }
             }
         }

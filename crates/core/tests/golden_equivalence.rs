@@ -123,7 +123,7 @@ fn configs() -> Vec<CgraConfig> {
 
 /// One observed line of the suite, in the golden file's format:
 ///
-/// `<kernel> <variant> <config> ok <mapping-hash> <8 stat counters>`
+/// `<kernel> <variant> <config> ok <mapping-hash> <9 stat counters>`
 /// `<kernel> <variant> <config> err <error message with spaces escaped>`
 fn observe(kernel: &str, variant: FlowVariant, config: &CgraConfig) -> String {
     let spec = cmam_kernels::all()
@@ -134,12 +134,12 @@ fn observe(kernel: &str, variant: FlowVariant, config: &CgraConfig) -> String {
     match mapper.map(&spec.cdfg, config) {
         Ok(r) => {
             let s = &r.stats;
-            // `rollbacks` is deliberately excluded: it counts how the
-            // *implementation* explores (clone-based mappers never roll
-            // back), not what the search decides. Every other counter is
-            // search semantics and must match the golden mapper exactly.
+            // Every counter, `rollbacks` (the last column) included:
+            // `RunOutcome::content_digest` hashes all of them, so a
+            // mapper change that moves any one changes every cached
+            // outcome's digest.
             format!(
-                "{kernel} {variant} {} ok {:016x} {} {} {} {} {} {} {} {}",
+                "{kernel} {variant} {} ok {:016x} {} {} {} {} {} {} {} {} {}",
                 config.name(),
                 mapping_digest(&r.mapping),
                 s.candidates,
@@ -150,6 +150,7 @@ fn observe(kernel: &str, variant: FlowVariant, config: &CgraConfig) -> String {
                 s.finalize_failures,
                 s.escalations,
                 s.peak_population,
+                s.rollbacks,
             )
         }
         Err(e) => format!(

@@ -2,13 +2,14 @@
 //! input memory images through [`cmam_sim::DecodedProgram::simulate_batch`].
 //!
 //! A batch-sim job reuses the regular compile pipeline (and its caches)
-//! to obtain the binary, decodes it once, regenerates the lane images
+//! to obtain the binary, decodes it once per engine (the decoded program
+//! lives beside the compile's memo entry), regenerates the lane images
 //! from `(input_seed, lane)` via [`cmam_kernels::lane_images`], and runs
 //! the whole set through the batched simulator. The job key fingerprints
 //! everything the result depends on — kernel, configuration, mapper
-//! options, simulator options, lane count and a digest of the *actual
-//! generated input set* — so a change to the image generator invalidates
-//! cached sweeps even at an unchanged seed.
+//! options, simulator options, lane count and the digest of every
+//! *actual generated input image* — so a change to the image generator
+//! invalidates cached sweeps even at an unchanged seed.
 
 use crate::fingerprint::{Fingerprint, Fnv64};
 use crate::job::{JobRequest, RunFailure, RunOutcome};
@@ -73,8 +74,12 @@ impl<'a> BatchSimRequest<'a> {
     }
 
     /// The content hash keying this job, given its (already generated)
-    /// input images. The digest covers the image *contents*, not just
-    /// the seed.
+    /// input images. It covers the image *contents*, not just the seed:
+    /// the lane count, then each image's digest (FNV-1a over its length
+    /// and every word, as [`BatchSimOutcome::mem_digests`] digests final
+    /// memories), so one changed word in any lane changes the key.
+    /// Images of equal length hash four at a time on interleaved chains,
+    /// at the same values as one at a time.
     pub fn key_for(&self, images: &[Vec<i32>]) -> u64 {
         let mut h = Fnv64::new();
         h.feed_str("batch-sim");
@@ -86,11 +91,8 @@ impl<'a> BatchSimRequest<'a> {
         h.feed_u64(self.input_seed);
         h.feed_usize(self.lanes);
         h.feed_usize(images.len());
-        for image in images {
-            h.feed_usize(image.len());
-            for &w in image {
-                h.feed_u64(w as u32 as u64);
-            }
+        for d in mem_digests(images) {
+            h.feed_u64(d);
         }
         h.finish()
     }
@@ -191,34 +193,71 @@ impl BatchSimOutcome {
 /// inside the outcome, not a job failure).
 pub type BatchSimResult = Result<BatchSimOutcome, RunFailure>;
 
-/// Digest of one final memory image (FNV-1a over length and words).
+/// Digest of one memory image (FNV-1a over length and words).
 fn mem_digest(mem: &[i32]) -> u64 {
     let mut h = Fnv64::new();
     h.feed_usize(mem.len());
     for &w in mem {
-        h.feed_u64(w as u32 as u64);
+        h.feed_word(w);
     }
     h.finish()
 }
 
-/// Decodes the compiled binary and sweeps the lane images through the
-/// batched simulator. Pure over `(outcome.binary, images, sim options)`.
-pub fn execute_batch_sim(
-    req: &BatchSimRequest<'_>,
-    compiled: &RunOutcome,
-    images: Vec<Vec<i32>>,
-) -> BatchSimOutcome {
+/// [`mem_digest`] of every image, in order. FNV-1a is one dependent
+/// multiply per byte, so a lone chain runs at the multiplier's latency;
+/// four images of equal length are hashed on four interleaved chains,
+/// which overlap. A remainder, or a group of unequal lengths, takes the
+/// single-chain function.
+fn mem_digests<M: AsRef<[i32]>>(images: &[M]) -> Vec<u64> {
+    let mut out = Vec::with_capacity(images.len());
+    let mut groups = images.chunks_exact(4);
+    for group in &mut groups {
+        let [a, b, c, d] = [0, 1, 2, 3].map(|i| group[i].as_ref());
+        if [b, c, d].iter().any(|m| m.len() != a.len()) {
+            out.extend([a, b, c, d].map(mem_digest));
+            continue;
+        }
+        let mut h = Fnv64::new();
+        h.feed_usize(a.len());
+        let [mut ha, mut hb, mut hc, mut hd] = [h.clone(), h.clone(), h.clone(), h];
+        for (((&wa, &wb), &wc), &wd) in a.iter().zip(b).zip(c).zip(d) {
+            ha.feed_word(wa);
+            hb.feed_word(wb);
+            hc.feed_word(wc);
+            hd.feed_word(wd);
+        }
+        out.extend([ha, hb, hc, hd].map(|h| h.finish()));
+    }
+    out.extend(groups.remainder().iter().map(|m| mem_digest(m.as_ref())));
+    out
+}
+
+/// Decodes a compiled binary for `config`, with the decode's wall time.
+pub(crate) fn decode(compiled: &RunOutcome, config: &CgraConfig) -> (DecodedProgram, Duration) {
     let t0 = Instant::now();
-    let decoded = DecodedProgram::decode(&compiled.binary, req.config)
+    let decoded = DecodedProgram::decode(&compiled.binary, config)
         .expect("a binary that simulated solo decodes");
     let decode_time = t0.elapsed();
     cmam_obs::histogram!("phase.decode_us").record(decode_time.as_micros() as u64);
+    (decoded, decode_time)
+}
+
+/// Sweeps the lane images through the batched simulator on a decoded
+/// program (see [`decode`]); `decode_time` is reported as measured. Pure
+/// over `(decoded, images, sim options)`.
+pub(crate) fn execute_batch_sim(
+    req: &BatchSimRequest<'_>,
+    decoded: &DecodedProgram,
+    decode_time: Duration,
+    images: Vec<Vec<i32>>,
+) -> BatchSimOutcome {
     let mut lanes: Vec<LaneState> = images.into_iter().map(LaneState::new).collect();
     let t1 = Instant::now();
     let results: Vec<Result<SimStats, SimError>> = decoded.simulate_batch(&mut lanes, req.sim);
     let sim_time = t1.elapsed();
     cmam_obs::histogram!("phase.batch_sim_us").record(sim_time.as_micros() as u64);
-    let mem_digests: Vec<u64> = lanes.iter().map(|l| mem_digest(&l.mem)).collect();
+    let mems: Vec<&[i32]> = lanes.iter().map(|l| l.mem.as_slice()).collect();
+    let mem_digests = mem_digests(&mems);
     let agg_cycles = results
         .iter()
         .filter_map(|r| r.as_ref().ok().map(|s| s.cycles))
@@ -257,5 +296,53 @@ mod tests {
         let mut images = a.images();
         images[0][0] ^= 1;
         assert_ne!(a.key(), a.key_for(&images));
+    }
+
+    #[test]
+    fn keys_cover_every_lane_of_the_four_lane_groups_and_the_remainder() {
+        let spec = cmam_kernels::fir::spec();
+        let config = CgraConfig::hom64();
+        let req = BatchSimRequest::flow(&spec, FlowVariant::Basic, &config, 3, 10);
+        let images = req.images();
+        let key = req.key_for(&images);
+        // Lane 5 sits inside the second group of four, lane 9 in the
+        // two-lane remainder; flip one word deep inside each.
+        for (lane, word) in [(5, 100), (9, 7)] {
+            let mut flipped = images.clone();
+            flipped[lane][word] ^= 1 << 20;
+            assert_ne!(req.key_for(&flipped), key, "lane {lane} word {word}");
+        }
+    }
+
+    /// `mem_digest` spelled out byte by byte: the salted start, the
+    /// length, then every word widened to a `u64`, all little-endian.
+    fn bytewise_mem_digest(mem: &[i32]) -> u64 {
+        let mut h = Fnv64::new();
+        h.feed_bytes(&(mem.len() as u64).to_le_bytes());
+        for &w in mem {
+            h.feed_bytes(&(w as u32 as u64).to_le_bytes());
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn four_lane_digests_equal_one_chain_per_image() {
+        let spec = cmam_kernels::fir::spec();
+        let equal = cmam_kernels::lane_images(&spec, 11, 9);
+        for n in 0..=9 {
+            let want: Vec<u64> = equal[..n].iter().map(|m| mem_digest(m)).collect();
+            assert_eq!(mem_digests(&equal[..n]), want, "{n} images");
+        }
+        // Mixed lengths: a first group with a short and an empty image,
+        // an equal second group, and a remainder of two lengths.
+        let mut mixed = equal.clone();
+        mixed[1].truncate(50);
+        mixed[3].clear();
+        mixed.push(vec![i32::MIN, -1, 0, 1, i32::MAX]);
+        let want: Vec<u64> = mixed.iter().map(|m| mem_digest(m)).collect();
+        assert_eq!(mem_digests(&mixed), want);
+        for m in &mixed {
+            assert_eq!(mem_digest(m), bytewise_mem_digest(m));
+        }
     }
 }

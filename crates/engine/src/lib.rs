@@ -63,9 +63,11 @@ use cache::DiskCache;
 use cmam_arch::CgraConfig;
 use cmam_core::MapperOptions;
 use cmam_kernels::KernelSpec;
+use cmam_sim::DecodedProgram;
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::Duration;
 
 /// Locks a mutex, recovering from poisoning. The engine's critical
 /// sections (memo inserts, stats merges) never panic mid-mutation, so a
@@ -215,6 +217,25 @@ pub struct EngineStats {
 /// publishing results rarely contend on the same mutex.
 const MEMO_SHARDS: usize = 16;
 
+/// One memo-table entry: a job's result plus, once a sweep has needed
+/// it, the decoded program of its binary and that first decode's wall
+/// time. Entries are shared (`Arc`), so a sweep borrows the compiled
+/// outcome instead of deep-cloning it, and decodes it once per engine.
+#[derive(Debug)]
+struct Memo {
+    result: JobResult,
+    decoded: OnceLock<(DecodedProgram, Duration)>,
+}
+
+impl Memo {
+    fn new(result: JobResult) -> Arc<Memo> {
+        Arc::new(Memo {
+            result,
+            decoded: OnceLock::new(),
+        })
+    }
+}
+
 /// One pending job, cloned out of the borrowed [`JobRequest`] so the
 /// executing closure is `'static` for the persistent pool workers.
 #[derive(Debug)]
@@ -232,7 +253,7 @@ struct PendingJob {
 pub struct Engine {
     options: EngineOptions,
     disk: Arc<DiskCache>,
-    memo: Vec<Mutex<HashMap<u64, JobResult>>>,
+    memo: Vec<Mutex<HashMap<u64, Arc<Memo>>>>,
     /// Memo table for batched-simulation outcomes. Batch-sim jobs are
     /// coarse (one per sweep, not one per kernel-config pair), so a
     /// single unsharded map is enough.
@@ -258,7 +279,7 @@ impl Engine {
         }
     }
 
-    fn memo_shard(&self, key: u64) -> &Mutex<HashMap<u64, JobResult>> {
+    fn memo_shard(&self, key: u64) -> &Mutex<HashMap<u64, Arc<Memo>>> {
         &self.memo[(key % MEMO_SHARDS as u64) as usize]
     }
 
@@ -310,6 +331,15 @@ impl Engine {
     /// result vector is a pure function of the requests — thread count and
     /// cache state never change it, only how fast it arrives.
     pub fn run_batch(&self, requests: &[JobRequest<'_>]) -> Vec<JobResult> {
+        self.resolve(requests)
+            .iter()
+            .map(|m| m.result.clone())
+            .collect()
+    }
+
+    /// [`Engine::run_batch`] without the copies: the shared memo entry of
+    /// each submission, in submission order.
+    fn resolve(&self, requests: &[JobRequest<'_>]) -> Vec<Arc<Memo>> {
         let _span = cmam_obs::span!("run_batch", submitted = requests.len() as u64);
         let batch_start = std::time::Instant::now();
         let keys: Vec<u64> = requests.iter().map(JobRequest::key).collect();
@@ -339,7 +369,7 @@ impl Engine {
             match self.disk.load(keys[i]) {
                 Some(result) => {
                     batch_stats.disk_hits += 1;
-                    lock_recover(self.memo_shard(keys[i])).insert(keys[i], result);
+                    lock_recover(self.memo_shard(keys[i])).insert(keys[i], Memo::new(result));
                 }
                 None => pending.push(i),
             }
@@ -413,7 +443,7 @@ impl Engine {
             if matches!(&result, Err(f) if f.stage == FailStage::Panic) {
                 batch_stats.quarantined += 1;
             }
-            lock_recover(self.memo_shard(j.key)).insert(j.key, result);
+            lock_recover(self.memo_shard(j.key)).insert(j.key, Memo::new(result));
         }
         {
             let mut stats = lock_recover(&self.stats);
@@ -438,10 +468,11 @@ impl Engine {
         cmam_obs::histogram!("batch.wall_us").record(batch_start.elapsed().as_micros() as u64);
         keys.iter()
             .map(|k| {
-                lock_recover(self.memo_shard(*k))
-                    .get(k)
-                    .expect("every key resolved")
-                    .clone()
+                Arc::clone(
+                    lock_recover(self.memo_shard(*k))
+                        .get(k)
+                        .expect("every key resolved"),
+                )
             })
             .collect()
     }
@@ -455,10 +486,12 @@ impl Engine {
 
     /// Runs one batched-simulate job: compiles the mapping through the
     /// regular (deduped, memoised) pipeline, then sweeps the request's
-    /// seeded input set through the batched simulator. The sweep outcome
+    /// seeded input set through the batched simulator. The compiled
+    /// binary is decoded once per engine and kept beside its memoised
+    /// outcome; `decode_time` reports that first decode. The sweep outcome
     /// is memoised in memory and persisted as a `.bsim` artifact under
     /// the same cache directory, keyed by a fingerprint that covers the
-    /// generated input-set digest.
+    /// digest of every generated input image.
     ///
     /// # Errors
     ///
@@ -478,12 +511,20 @@ impl Engine {
             lock_recover(&self.batch_memo).insert(key, outcome.clone());
             return Ok(outcome);
         }
-        let compiled = self.run_one(&request.compile_request())?;
+        let memo = self
+            .resolve(std::slice::from_ref(&request.compile_request()))
+            .pop()
+            .expect("one request yields one result");
+        let compiled = memo.result.as_ref().map_err(Clone::clone)?;
         // Same quarantine discipline as per-job execution: a panic in
-        // the batched simulator becomes a structured failure, not an
-        // unwound sweep.
+        // the decoder or the batched simulator becomes a structured
+        // failure, not an unwound sweep (a panicking decode leaves the
+        // entry undecoded, so the next sweep tries again).
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            batch_sim::execute_batch_sim(request, &compiled, images)
+            let (decoded, decode_time) = memo
+                .decoded
+                .get_or_init(|| batch_sim::decode(compiled, request.config));
+            batch_sim::execute_batch_sim(request, decoded, *decode_time, images)
         }))
         .map_err(|payload| {
             lock_recover(&self.stats).quarantined += 1;
