@@ -36,7 +36,8 @@ pub enum MapError {
     /// The CDFG failed structural validation.
     Invalid(ValidateError),
     /// The [`MapperOptions`] cannot drive a search (a zero population,
-    /// expansion or schedule bound); rejected before any work.
+    /// expansion or schedule bound, or a schedule bound above
+    /// [`MapperOptions::MAX_SCHEDULE_LIMIT`]); rejected before any work.
     InvalidOptions(&'static str),
     /// No feasible binding existed for an operation of `block` even after
     /// slack escalation (routing/recomputation exhausted).
@@ -93,13 +94,16 @@ impl From<ValidateError> for MapError {
 /// effort comparison and by tests).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MapStats {
-    /// Candidate bindings generated (successful `try_place_op` calls).
+    /// Successful trial bindings: the trials that ran and placed the op.
+    /// Expansion tries slots in order of a lower bound on their rank and
+    /// stops once no untried slot can enter the expansion cut, so this
+    /// counts only the trials the cut needed, not the whole window.
     pub candidates: u64,
-    /// Candidate bindings attempted (including failures): every
-    /// `(partial, tile, cycle)` of the expansion window. A tile that
-    /// cannot take the op at all (no LSU for a memory op, or CAB
-    /// blacklisted) counts its whole window, `slack + 1` attempts,
-    /// without trying any.
+    /// The expansion window: every `(partial, tile, cycle)` an expansion
+    /// considers, tried or not — including tiles that cannot take the op
+    /// at all (no LSU for a memory op, or CAB blacklisted), slots past
+    /// `max_schedule` and slots the bound ordering leaves untried. Each
+    /// expansion adds `tiles × (slack + 1)`.
     pub attempts: u64,
     /// Partials dropped by the ACMAP filter.
     pub acmap_pruned: u64,
@@ -116,11 +120,11 @@ pub struct MapStats {
     /// a timing-noise-free effort measure for Fig 9 and the DSE sweep.
     pub peak_population: u64,
     /// Trial bindings undone on the shared partial state during candidate
-    /// expansion — every try that left a delta (surviving candidates and
-    /// failed attempts alike) is rolled back rather than cloned away.
-    /// Zero for mapper implementations that evaluate candidates on
-    /// clones; together with `attempts` this measures how much work the
-    /// try/undo scheme saves over clone-per-candidate.
+    /// expansion — every trial that ran and left a delta (surviving
+    /// candidates and failed trials alike) is rolled back rather than
+    /// cloned away. Zero for mapper implementations that evaluate
+    /// candidates on clones; together with `attempts` this measures how
+    /// much of the window the search actually touched.
     pub rollbacks: u64,
 }
 
@@ -203,6 +207,7 @@ pub struct Mapper {
 /// ranking, the memory-filter verdicts) — recorded while the delta was
 /// applied, before it was rolled back. Only the candidates that survive
 /// pruning are ever materialised into real [`Partial`]s.
+#[derive(Debug, PartialEq, Eq)]
 struct Candidate {
     parent: u32,
     tile: TileId,
@@ -213,9 +218,9 @@ struct Candidate {
 }
 
 impl Candidate {
-    /// Rank within one parent's candidates: cost, then generation order
-    /// (tiles ascending, then cycles ascending) — a total order, so
-    /// selecting by it keeps exactly what a stable sort by cost keeps.
+    /// Rank within one parent's candidates: cost, then tile, then cycle —
+    /// a total order, so selecting by it keeps exactly what a stable sort
+    /// by cost of a tile-major, cycle-ascending trial loop keeps.
     fn rank(&self) -> ((usize, usize), TileId, u32) {
         (self.cost, self.tile, self.cycle)
     }
@@ -240,17 +245,28 @@ impl ExpandStats {
 }
 
 /// Expands one partial mapping for `op` at the given `slack`: the
-/// tiles × cycles try/rollback loop, the per-candidate memory-filter
-/// verdicts, and the per-partial expansion cut. **The** candidate
+/// per-partial expansion cut over the tiles × window slots, with the
+/// memory-filter verdicts of the candidates it keeps. **The** candidate
 /// generator — the sequential path and every parallel beam shard call
 /// exactly this function, which is what makes the parallel search
 /// bit-identical to the sequential one by construction.
 ///
+/// The cut keeps the `expansion` best successful trials by
+/// [`Candidate::rank`], sorted. Slots are tried in ascending order of an
+/// admissible lower bound on that rank: the child's frontier is exactly
+/// `max(frontier, cycle + 1)` and its moves + commit debt at least the
+/// parent's plus [`Partial::cost_floor`] of the tile. So all cycles below
+/// the parent's frontier come first (tiles by `(floor, tile)`, cycles
+/// ascending), then each later cycle in turn (tiles by `(floor, tile)`).
+/// Once the cut is full and the next slot's bound is not below its worst
+/// rank, no untried slot can enter it, and the expansion stops.
+///
 /// Everything that does not depend on the trial is decided once: tile
-/// legality (LSU, CAB blacklist) per tile, window cycles past
-/// `max_schedule` per call, and the parent half of the memory verdicts.
-/// These checks never mutate, so skipping a closed tile or an
-/// out-of-range cycle counts the attempt exactly as trying it would.
+/// legality (LSU, CAB blacklist) and the floor per tile, window cycles
+/// past `max_schedule` per call, and the parent half of the memory
+/// verdicts. `attempts` counts the whole window of every tile, tried or
+/// not; `candidates` and `rollbacks` count the trials that ran. `open` is
+/// the caller's scratch for the open tiles.
 #[allow(clippy::too_many_arguments)]
 fn expand_partial(
     ctx: &MapCtx<'_>,
@@ -260,43 +276,87 @@ fn expand_partial(
     slack: usize,
     pi: usize,
     partial: &mut Partial,
+    open: &mut Vec<(usize, TileId)>,
     out: &mut Vec<Candidate>,
 ) -> ExpandStats {
-    let mut st = ExpandStats::default();
-    let earliest = partial.earliest_cycle(deps, op);
     let window = (slack as u64).saturating_add(1);
+    let mut st = ExpandStats {
+        attempts: window.saturating_mul(tiles.len() as u64),
+        ..ExpandStats::default()
+    };
+    let earliest = partial.earliest_cycle(deps, op);
     // Cycles at or past `max_schedule` fail before any mutation.
     let last = earliest
         .saturating_add(slack)
         .min(ctx.options.max_schedule - 1);
+    let (frontier, moves) = partial.cost();
+    let terms = partial.floor_terms(ctx, op);
+    open.clear();
+    open.extend(
+        tiles
+            .iter()
+            .filter(|&&tile| partial.tile_open(ctx, op, tile))
+            .map(|&tile| (partial.cost_floor(ctx, &terms, tile), tile)),
+    );
+    open.sort_unstable();
+    let below = earliest..frontier.min(last + 1);
+    let slots = open
+        .iter()
+        .flat_map(|&(floor, tile)| below.clone().map(move |c| (floor, tile, c)))
+        .chain(
+            (earliest.max(frontier)..=last)
+                .flat_map(|c| open.iter().map(move |&(floor, tile)| (floor, tile, c))),
+        );
+
     let cp = partial.checkpoint();
     let base = partial.verdict_base(ctx);
     let start = out.len();
-    for &tile in tiles {
-        st.attempts = st.attempts.saturating_add(window);
-        if !partial.tile_open(ctx, op, tile) {
+    let keep = ctx.options.expansion;
+    for (floor, tile, cycle) in slots {
+        // The worst kept rank, once the cut is full.
+        let worst = (out.len() - start == keep).then(|| out[out.len() - 1].rank());
+        if let Some(worst) = worst {
+            let bound = (
+                (frontier.max(cycle + 1), moves.saturating_add(floor)),
+                tile,
+                cycle as u32,
+            );
+            if bound >= worst {
+                break; // every later slot bounds higher still
+            }
+        }
+        if !partial.slot_free(tile, cycle) {
             continue;
         }
-        for cycle in earliest..=last {
-            if !partial.slot_free(tile, cycle) {
-                continue;
-            }
-            if partial.place_on_open_tile(ctx, op, tile, cycle) {
-                st.candidates += 1;
+        if partial.place_on_open_tile(ctx, op, tile, cycle) {
+            st.candidates += 1;
+            let cost = partial.cost();
+            let rank = (cost, tile, cycle as u32);
+            if worst.is_none_or(|w| rank < w) {
                 let (acmap_ok, ecmap_ok) = partial.child_verdicts(ctx, &base, cp);
-                out.push(Candidate {
+                let cand = Candidate {
                     parent: pi as u32,
                     tile,
                     cycle: cycle as u32,
-                    cost: partial.cost(),
+                    cost,
                     acmap_ok,
                     ecmap_ok,
-                });
+                };
+                if worst.is_some() {
+                    let at = start + out[start..].partition_point(|c| c.rank() < rank);
+                    out.pop();
+                    out.insert(at, cand);
+                } else {
+                    out.push(cand);
+                    if out.len() - start == keep {
+                        out[start..].sort_unstable_by_key(Candidate::rank);
+                    }
+                }
             }
-            if partial.dirty_since(cp) {
-                st.rollbacks += 1;
-                partial.rollback(cp);
-            }
+        }
+        if partial.dirty_since(cp) {
+            st.rollbacks += 1;
+            partial.rollback(cp);
         }
     }
     // Note the expansion cut happens *before* the memory filters, exactly
@@ -305,13 +365,9 @@ fn expand_partial(
     // they do not re-rank the binder's candidates. This is what makes
     // over-constrained targets fail (the zero bars of Figs 6-8) instead
     // of being rescued by exhaustive candidate filtering. The cut keeps
-    // the `expansion` best by cost, ties in generation order — what a
-    // stable sort by cost then truncation keeps — selected, then sorted.
-    let keep = ctx.options.expansion;
-    if out.len() - start > keep {
-        out[start..].select_nth_unstable_by_key(keep - 1, Candidate::rank);
-        out.truncate(start + keep);
-    }
+    // the `expansion` best by cost, ties in generation order (tiles, then
+    // cycles, ascending) — what a stable sort by cost then truncation of
+    // every trial's candidate keeps.
     out[start..].sort_unstable_by_key(Candidate::rank);
     st
 }
@@ -402,7 +458,17 @@ impl BeamPool {
                 .take()
                 .expect("partial present");
             let mut local = Vec::new();
-            let st = expand_partial(&ctx, &deps, &tiles, op, slack, i, &mut p, &mut local);
+            let st = expand_partial(
+                &ctx,
+                &deps,
+                &tiles,
+                op,
+                slack,
+                i,
+                &mut p,
+                &mut Vec::new(),
+                &mut local,
+            );
             *job_slots[i].lock().expect("beam slot poisoned") = Some(p);
             (local, st)
         });
@@ -573,8 +639,10 @@ impl Mapper {
         let tiles: Arc<Vec<TileId>> = Arc::new(ctx.config.geometry().tiles().collect());
 
         let mut population = vec![Partial::new(state, ctx)];
-        // The candidate pool's buffer is reused across op steps.
+        // The candidate pool's and the open-tile list's buffers are reused
+        // across op steps.
         let mut pool: Vec<Candidate> = Vec::new();
+        let mut open: Vec<(usize, TileId)> = Vec::new();
 
         for &op in &order {
             // Candidate generation with slack escalation. Every trial is
@@ -608,7 +676,7 @@ impl Mapper {
                         let mut st = ExpandStats::default();
                         for (pi, partial) in population.iter_mut().enumerate() {
                             st.absorb(expand_partial(
-                                ctx, &deps, &tiles, op, slack, pi, partial, &mut pool,
+                                ctx, &deps, &tiles, op, slack, pi, partial, &mut open, &mut pool,
                             ));
                         }
                         st
@@ -764,7 +832,6 @@ mod tests {
     use super::*;
     use crate::options::FlowVariant;
     use crate::prune::{acmap_filter, ecmap_filter};
-    use cmam_cdfg::analysis::weighted_order;
     use cmam_cdfg::{CdfgBuilder, Opcode};
 
     /// acc = Σ mem[i]^2 over n elements, stored to mem[out].
@@ -892,6 +959,33 @@ mod tests {
     }
 
     #[test]
+    fn a_schedule_bound_above_the_limit_is_an_options_error() {
+        let limit = MapperOptions::MAX_SCHEDULE_LIMIT;
+        assert_eq!(limit.to_string(), "65536", "the error message names it");
+        for max_schedule in [usize::MAX, 1 << 33, limit + 1] {
+            let mut options = MapperOptions::context_aware();
+            options.max_schedule = max_schedule;
+            assert_eq!(
+                map_with(options).unwrap_err(),
+                MapError::InvalidOptions("max_schedule must be at most 65536"),
+                "max_schedule = {max_schedule}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_schedule_bound_at_the_limit_maps() {
+        // A small population keeps the limit-sized partials (about 2 MB of
+        // RF counts each on 16 tiles) few.
+        let mut options = MapperOptions::basic();
+        options.max_schedule = MapperOptions::MAX_SCHEDULE_LIMIT;
+        options.population = 2;
+        let r = map_with(options).expect("maps at the limit");
+        let config = CgraConfig::hom64();
+        cmam_isa::assemble(&sum_squares(4, 80), &r.mapping, &config).unwrap();
+    }
+
+    #[test]
     fn huge_slack_saturates_instead_of_overflowing() {
         // Escalation multiplies the slack; the window end saturates and
         // cycles past `max_schedule` count as attempts without a trial.
@@ -916,6 +1010,7 @@ mod tests {
         let pre = MapPre::new(config);
         let tiles: Vec<TileId> = config.geometry().tiles().collect();
         let mut state = FlowState::new(tiles.len());
+        let mut open = Vec::new();
         for (pos, &block) in order.iter().enumerate() {
             let ctx = MapCtx {
                 cdfg,
@@ -930,7 +1025,8 @@ mod tests {
             for op in priority_order(&dfg, &deps) {
                 let mut pool = Vec::new();
                 for (pi, p) in population.iter_mut().enumerate() {
-                    expand_partial(&ctx, &deps, &tiles, op, options.slack, pi, p, &mut pool);
+                    let slack = options.slack;
+                    expand_partial(&ctx, &deps, &tiles, op, slack, pi, p, &mut open, &mut pool);
                 }
                 let mut next = Vec::new();
                 for c in &pool {
@@ -992,6 +1088,274 @@ mod tests {
             seen.iter().all(|&n| n > 0),
             "both verdicts of both filters must occur: {seen:?}"
         );
+    }
+
+    /// The candidate generator without bound ordering: every open tile ×
+    /// every window cycle, then the expansion cut. The reference the
+    /// bounded [`expand_partial`] must equal; it also asserts that no
+    /// successful trial costs less than the bound its slot is ranked by.
+    #[allow(clippy::too_many_arguments)]
+    fn expand_exhaustive(
+        ctx: &MapCtx<'_>,
+        deps: &DepGraph,
+        tiles: &[TileId],
+        op: OpId,
+        slack: usize,
+        pi: usize,
+        partial: &mut Partial,
+        out: &mut Vec<Candidate>,
+    ) -> ExpandStats {
+        let mut st = ExpandStats::default();
+        let earliest = partial.earliest_cycle(deps, op);
+        let window = (slack as u64).saturating_add(1);
+        let last = earliest
+            .saturating_add(slack)
+            .min(ctx.options.max_schedule - 1);
+        let (frontier, moves) = partial.cost();
+        let terms = partial.floor_terms(ctx, op);
+        let cp = partial.checkpoint();
+        let base = partial.verdict_base(ctx);
+        let start = out.len();
+        for &tile in tiles {
+            st.attempts = st.attempts.saturating_add(window);
+            if !partial.tile_open(ctx, op, tile) {
+                continue;
+            }
+            let floor = partial.cost_floor(ctx, &terms, tile);
+            for cycle in earliest..=last {
+                if !partial.slot_free(tile, cycle) {
+                    continue;
+                }
+                if partial.place_on_open_tile(ctx, op, tile, cycle) {
+                    st.candidates += 1;
+                    let cost = partial.cost();
+                    let bound = (frontier.max(cycle + 1), moves.saturating_add(floor));
+                    assert!(
+                        cost.0 >= bound.0 && cost.1 >= bound.1,
+                        "{op} on {tile} @{cycle} costs {cost:?}, below its bound {bound:?}"
+                    );
+                    let (acmap_ok, ecmap_ok) = partial.child_verdicts(ctx, &base, cp);
+                    out.push(Candidate {
+                        parent: pi as u32,
+                        tile,
+                        cycle: cycle as u32,
+                        cost,
+                        acmap_ok,
+                        ecmap_ok,
+                    });
+                }
+                if partial.dirty_since(cp) {
+                    st.rollbacks += 1;
+                    partial.rollback(cp);
+                }
+            }
+        }
+        let keep = ctx.options.expansion;
+        if out.len() - start > keep {
+            out[start..].select_nth_unstable_by_key(keep - 1, Candidate::rank);
+            out.truncate(start + keep);
+        }
+        out[start..].sort_unstable_by_key(Candidate::rank);
+        st
+    }
+
+    /// Expansions of [`check_generators`], and the trials each generator
+    /// ran and rolled back over them.
+    #[derive(Debug, Default)]
+    struct Trials {
+        expansions: u64,
+        exhaustive: u64,
+        bounded: u64,
+    }
+
+    /// Maps `cdfg` the way [`Mapper::map`] does on one thread — same
+    /// traversal, slack escalation, filters, seeded pruning and
+    /// finalisation — running every expansion through both generators:
+    /// they must return identical candidates (parent, slot, cost and both
+    /// verdicts) and attempt counts.
+    fn check_generators(
+        cdfg: &Cdfg,
+        config: &CgraConfig,
+        options: &MapperOptions,
+        trials: &mut Trials,
+    ) {
+        let order = match options.traversal {
+            Traversal::Forward => forward_order(cdfg),
+            Traversal::Weighted => weighted_order(cdfg),
+        };
+        let pre = MapPre::new(config);
+        let tiles: Vec<TileId> = config.geometry().tiles().collect();
+        let mut state = FlowState::new(tiles.len());
+        let mut rng = StdRng::seed_from_u64(options.seed);
+        let (mut open, mut reference) = (Vec::new(), Vec::new());
+        for (pos, &block) in order.iter().enumerate() {
+            let ctx = MapCtx {
+                cdfg,
+                config,
+                options,
+                reserve: order.len() - 1 - pos,
+                pre: &pre,
+            };
+            let dfg = cdfg.dfg(block);
+            let deps = DepGraph::build(&dfg);
+            let mut population = vec![Partial::new(&state, &ctx)];
+            for op in priority_order(&dfg, &deps) {
+                let mut pool = Vec::new();
+                for escalation in 0..3 {
+                    let slack = options.slack.saturating_mul(1 << (2 * escalation));
+                    for (pi, p) in population.iter_mut().enumerate() {
+                        reference.clear();
+                        let want = expand_exhaustive(
+                            &ctx,
+                            &deps,
+                            &tiles,
+                            op,
+                            slack,
+                            pi,
+                            p,
+                            &mut reference,
+                        );
+                        let start = pool.len();
+                        let got = expand_partial(
+                            &ctx, &deps, &tiles, op, slack, pi, p, &mut open, &mut pool,
+                        );
+                        let at = format!("{op} in {block}, partial {pi}, slack {slack}");
+                        assert_eq!(pool[start..], reference[..], "{at}");
+                        assert_eq!(got.attempts, want.attempts, "{at}");
+                        assert!(got.candidates <= want.candidates, "{at}");
+                        assert!(got.rollbacks <= want.rollbacks, "{at}");
+                        trials.expansions += 1;
+                        trials.exhaustive += want.rollbacks;
+                        trials.bounded += got.rollbacks;
+                    }
+                    if !pool.is_empty() {
+                        break;
+                    }
+                }
+                pool.retain(|c| (!options.acmap || c.acmap_ok) && (!options.ecmap || c.ecmap_ok));
+                if pool.is_empty() {
+                    return;
+                }
+                let chosen = stochastic_prune_by(pool, options.population, &mut rng, |c| c.cost);
+                population = chosen
+                    .iter()
+                    .map(|c| {
+                        let mut child = population[c.parent as usize].clone();
+                        assert!(child.try_place_op(&ctx, op, c.tile, c.cycle as usize));
+                        child.clear_journal();
+                        child
+                    })
+                    .collect();
+            }
+            let mut finalized: Vec<Partial> = population
+                .into_iter()
+                .filter_map(|mut p| p.finalize(&ctx, block).then_some(p))
+                .collect();
+            finalized.sort_by_key(|p| (p.length(), p.cost()));
+            let Some(best) = finalized.first() else {
+                return;
+            };
+            best.commit_into(&mut state);
+        }
+    }
+
+    /// One block whose multiply reads a loaded value twice (`x * x`), so
+    /// a trial far from the load routes `x` once for both reads, and whose
+    /// sum reads `k = 3 + 5`, a producer a trial may duplicate next to
+    /// itself instead of routing its result.
+    fn square_plus_constant() -> Cdfg {
+        let mut b = CdfgBuilder::new("sq_k");
+        let bb = b.block("body");
+        b.select(bb);
+        let a0 = b.constant(0);
+        let x = b.load_name(a0, "x");
+        let c3 = b.constant(3);
+        let c5 = b.constant(5);
+        let k = b.op(Opcode::Add, &[c3, c5]);
+        let sq = b.op(Opcode::Mul, &[x, x]);
+        let y = b.op(Opcode::Add, &[sq, k]);
+        let a1 = b.constant(1);
+        b.store(a1, y, "y");
+        b.ret();
+        b.finish().unwrap()
+    }
+
+    /// Runs [`check_generators`] for every flow at slack 3 and 12 over
+    /// `kernels` on `config`. A population of 8 rather than the flows' 24
+    /// keeps the exhaustive reference affordable.
+    fn generators_agree(kernels: &[Cdfg], config: &CgraConfig) {
+        let mut trials = Trials::default();
+        for cdfg in kernels {
+            for variant in FlowVariant::ALL {
+                for slack in [3, 12] {
+                    let mut options = variant.options();
+                    options.slack = slack;
+                    options.population = 8;
+                    check_generators(cdfg, config, &options, &mut trials);
+                }
+            }
+        }
+        assert!(
+            trials.bounded < trials.exhaustive,
+            "bound ordering must skip trials: {trials:?}"
+        );
+    }
+
+    /// The paper's kernels and one generated kernel per profile.
+    fn generator_kernels() -> Vec<Cdfg> {
+        use cmam_cdfg::generate::{generate, GenParams};
+        let mut kernels: Vec<Cdfg> = cmam_kernels::all().into_iter().map(|s| s.cdfg).collect();
+        for (i, profile) in GenParams::PROFILES.iter().enumerate() {
+            let params = GenParams::profile(profile).expect("known profile");
+            kernels.push(generate(&params, 0x5EED + i as u64).cdfg);
+        }
+        kernels
+    }
+
+    /// HOM64, HET1, HET2 and two uniformly tight 4×4 targets, where the
+    /// memory filters and the CAB blacklist act.
+    fn generator_configs() -> [CgraConfig; 5] {
+        let tight = |words| CgraConfig::builder(4, 4).uniform_cm(words).build().unwrap();
+        [
+            CgraConfig::hom64(),
+            CgraConfig::het1(),
+            CgraConfig::het2(),
+            tight(16),
+            tight(12),
+        ]
+    }
+
+    #[test]
+    fn bounded_generator_equals_exhaustive_on_hom64() {
+        generators_agree(&generator_kernels(), &generator_configs()[0]);
+    }
+
+    #[test]
+    fn bounded_generator_equals_exhaustive_on_het1() {
+        generators_agree(&generator_kernels(), &generator_configs()[1]);
+    }
+
+    #[test]
+    fn bounded_generator_equals_exhaustive_on_het2() {
+        generators_agree(&generator_kernels(), &generator_configs()[2]);
+    }
+
+    #[test]
+    fn bounded_generator_equals_exhaustive_on_tight16() {
+        generators_agree(&generator_kernels(), &generator_configs()[3]);
+    }
+
+    #[test]
+    fn bounded_generator_equals_exhaustive_on_cm12() {
+        generators_agree(&generator_kernels(), &generator_configs()[4]);
+    }
+
+    #[test]
+    fn bounded_generator_equals_exhaustive_on_a_squared_routed_value() {
+        let kernel = [square_plus_constant()];
+        for config in &generator_configs() {
+            generators_agree(&kernel, config);
+        }
     }
 
     #[test]

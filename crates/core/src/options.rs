@@ -90,7 +90,8 @@ pub struct MapperOptions {
     pub expansion: usize,
     /// Extra cycles beyond the earliest feasible tried for each placement.
     pub slack: usize,
-    /// Hard bound on a block's schedule length.
+    /// Hard bound on a block's schedule length, at most
+    /// [`MAX_SCHEDULE_LIMIT`](MapperOptions::MAX_SCHEDULE_LIMIT).
     pub max_schedule: usize,
     /// Seed of the stochastic pruning RNG (the flow is deterministic for a
     /// fixed seed).
@@ -107,6 +108,12 @@ pub struct MapperOptions {
 }
 
 impl MapperOptions {
+    /// Largest [`max_schedule`](MapperOptions::max_schedule) a search
+    /// accepts (the default is 512). Every partial mapping holds per-tile
+    /// tables of `max_schedule` cycles and stores cycles as `u32`, so a
+    /// larger bound would exhaust memory before the search starts.
+    pub const MAX_SCHEDULE_LIMIT: usize = 1 << 16;
+
     /// The basic (context-memory *unaware*) flow of \[1\].
     pub fn basic() -> Self {
         MapperOptions {
@@ -135,11 +142,13 @@ impl MapperOptions {
     }
 
     /// Checks that these options can drive a search: the population,
-    /// the expansion cut and the schedule bound must each be at least 1.
+    /// the expansion cut and the schedule bound must each be at least 1,
+    /// and the schedule bound at most
+    /// [`MAX_SCHEDULE_LIMIT`](MapperOptions::MAX_SCHEDULE_LIMIT).
     ///
     /// # Errors
     ///
-    /// A short reason naming the first zero knob.
+    /// A short reason naming the first knob out of range.
     pub(crate) fn validate(&self) -> Result<(), &'static str> {
         if self.population == 0 {
             return Err("population must be at least 1");
@@ -149,6 +158,9 @@ impl MapperOptions {
         }
         if self.max_schedule == 0 {
             return Err("max_schedule must be at least 1");
+        }
+        if self.max_schedule > Self::MAX_SCHEDULE_LIMIT {
+            return Err("max_schedule must be at most 65536");
         }
         Ok(())
     }

@@ -418,6 +418,32 @@ impl OpInst {
     }
 }
 
+/// The static half of re-computation: whether `producer` may ever be
+/// duplicated — a non-memory, non-branch op with a result that writes no
+/// symbol and reads only constants and symbols.
+fn recomputable(ctx: &MapCtx<'_>, producer: OpId) -> bool {
+    let op = ctx.cdfg.op(producer);
+    !(op.opcode.is_memory()
+        || op.opcode.is_branch()
+        || op.result.is_none()
+        || op.writes_symbol.is_some())
+        && op
+            .args
+            .iter()
+            .all(|&a| !matches!(ctx.cdfg.value(a).kind, ValueKind::Def(_)))
+}
+
+/// The parent-side inputs of [`Partial::cost_floor`] for one op.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FloorTerms {
+    /// Distinct operands only a route can bring next to the trial's tile,
+    /// each with its symbol's pinned home.
+    routed: [(ValueId, Option<TileId>); MAX_ARITY],
+    len: usize,
+    /// Home of the symbol the op writes, when already pinned.
+    write_home: Option<TileId>,
+}
+
 /// Spare capacity a fresh clone reserves in the buffers the next binding
 /// round pushes to, so a survivor's first trials do not reallocate.
 const CLONE_HEADROOM: usize = 16;
@@ -1449,14 +1475,10 @@ impl Partial {
         tile: TileId,
         before: usize,
     ) -> bool {
-        let op = ctx.cdfg.op(producer);
-        if op.opcode.is_memory()
-            || op.opcode.is_branch()
-            || op.result.is_none()
-            || op.writes_symbol.is_some()
-        {
+        if !recomputable(ctx, producer) {
             return false;
         }
+        let op = ctx.cdfg.op(producer);
         // Depth-1 only: every operand must be a constant or a pinned
         // symbol whose home is adjacent to the duplicate's tile.
         let nbrs = &ctx.pre.nbr_dir[tile.0];
@@ -1489,6 +1511,7 @@ impl Partial {
                             value: a,
                         }
                     }
+                    // Excluded by `recomputable`.
                     ValueKind::Def(_) => continue 'site,
                 };
             }
@@ -1766,6 +1789,66 @@ impl Partial {
     /// steps.
     pub fn cost(&self) -> (usize, usize) {
         (self.frontier, self.moves.len() + self.commit_debt)
+    }
+
+    /// The per-op half of [`cost_floor`](Partial::cost_floor), taken on
+    /// the parent state once per expansion: the op's distinct operands
+    /// that only a route can bring next to a trial's tile, and the pinned
+    /// home of the symbol it writes.
+    pub(crate) fn floor_terms(&self, ctx: &MapCtx<'_>, op_id: OpId) -> FloorTerms {
+        let op = ctx.cdfg.op(op_id);
+        let mut terms = FloorTerms {
+            routed: [(ValueId(0), None); MAX_ARITY],
+            len: 0,
+            write_home: op.writes_symbol.and_then(|s| self.homes[s.0 as usize]),
+        };
+        for (i, &a) in op.args.iter().enumerate() {
+            if op.args[..i].contains(&a) {
+                continue; // one route serves every read of a value
+            }
+            let home = match ctx.cdfg.value(a).kind {
+                ValueKind::Const(_) => continue,
+                ValueKind::SymbolUse(s) => match self.homes[s.0 as usize] {
+                    Some(h) => Some(h),
+                    // The trial may pin it on its own tile.
+                    None => continue,
+                },
+                // A duplicate may be placed next to the trial's tile.
+                ValueKind::Def(p) if recomputable(ctx, p) => continue,
+                ValueKind::Def(_) => None,
+            };
+            terms.routed[terms.len] = (a, home);
+            terms.len += 1;
+        }
+        terms
+    }
+
+    /// A lower bound on the moves + commit debt a successful trial of the
+    /// op of `terms` on `tile` adds to [`cost`](Partial::cost): each
+    /// routed operand whose nearest copy (a pinned symbol's home counts)
+    /// is `d` hops away needs at least `d − 1` moves, and a write to a
+    /// pinned symbol adds its distance to the home. The trial's frontier
+    /// is exactly `max(frontier, cycle + 1)`, because moves and duplicates
+    /// go before the op's cycle.
+    ///
+    /// Admissible because within a trial moves and debt only grow, a move
+    /// goes one hop, a route ends next to the tile, and a routed value
+    /// gains copies only from its own route: a symbol's home is counted
+    /// and a recomputable producer is left out in
+    /// [`floor_terms`](Partial::floor_terms).
+    pub(crate) fn cost_floor(&self, ctx: &MapCtx<'_>, terms: &FloorTerms, tile: TileId) -> usize {
+        let mut floor = terms.write_home.map_or(0, |h| ctx.pre.distance(tile, h));
+        for &(v, home) in &terms.routed[..terms.len] {
+            let nearest = self.avail[v.0 as usize]
+                .iter()
+                .map(|&(t, _)| t)
+                .chain(home)
+                .map(|t| ctx.pre.distance(t, tile))
+                .min()
+                .unwrap_or(usize::MAX);
+            floor = floor.saturating_add(nearest.saturating_sub(1));
+        }
+        floor
     }
 
     /// Converts the finished partial into its [`BlockMapping`].
