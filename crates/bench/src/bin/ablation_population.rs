@@ -15,6 +15,7 @@ use cmam_bench::{emit_table, Engine, EngineOptions, JobRequest};
 use cmam_core::FlowVariant;
 
 fn main() {
+    cmam_bench::cli::parse("ablation_population", &[]);
     let _obs = cmam_bench::obs_session("ablation_population");
     println!("# Ablation: stochastic-pruning population cap (full flow, HET1)\n");
     let config = CgraConfig::het1();

@@ -19,6 +19,8 @@
 //! `--csv` re-emits every table machine-readable, including per-config
 //! provisioning fields and frontier membership.
 
+use cmam_bench::cli::Kind::{Count, Positive, Seed, Switch};
+use cmam_bench::cli::{self, Args, Flag, GENERATED, PROFILE, SEED};
 use cmam_bench::{cgra_energy_of, emit_table, engine, GenCli, JobRequest, RunOutcome};
 use cmam_core::FlowVariant;
 use cmam_engine::dse::{generate_space, validation_space, SpaceParams};
@@ -26,76 +28,6 @@ use cmam_engine::search::{pareto_frontier, run_search, ConfigStatus, SearchOptio
 use cmam_engine::Engine;
 use cmam_kernels::KernelSpec;
 use std::time::Instant;
-
-struct Cli {
-    exhaustive: bool,
-    space: Option<usize>,
-    space_seed: u64,
-    verify: bool,
-    resume: bool,
-    max_jobs: Option<usize>,
-}
-
-fn parse_cli() -> Cli {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cli = Cli {
-        exhaustive: false,
-        space: None,
-        space_seed: cmam_engine::dse::DEFAULT_SPACE_SEED,
-        verify: false,
-        resume: false,
-        max_jobs: None,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--search" => cli.exhaustive = false,
-            "--exhaustive" => cli.exhaustive = true,
-            "--space" => {
-                i += 1;
-                cli.space = Some(
-                    args.get(i)
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n: &usize| n > 0)
-                        .expect("--space needs a positive integer"),
-                );
-            }
-            "--space-seed" => {
-                i += 1;
-                cli.space_seed = args
-                    .get(i)
-                    .map(|v| cmam_bench::gen::parse_u64(v).expect("--space-seed needs an integer"))
-                    .expect("--space-seed needs a value");
-            }
-            "--verify" => cli.verify = true,
-            "--resume" => cli.resume = true,
-            "--max-jobs" => {
-                i += 1;
-                cli.max_jobs = Some(
-                    args.get(i)
-                        .and_then(|v| v.parse().ok())
-                        .expect("--max-jobs needs an integer"),
-                );
-            }
-            // Parsed elsewhere: engine (--jobs/--no-cache), tables
-            // (--csv), generated kernels (GenCli), obs session.
-            "--jobs" | "--generated" | "--seed" | "--profile" | "--trace-out" => i += 1,
-            "--csv" | "--no-cache" | "--metrics" => {}
-            o if o.starts_with("--trace-out=") => {}
-            other => {
-                eprintln!(
-                    "unknown flag {other} (known: --search, --exhaustive, --space N, \
-                     --space-seed S, --verify, --resume, --max-jobs N, --csv, --jobs N, \
-                     --no-cache, --generated N, --seed S, --profile P, --trace-out FILE, \
-                     --metrics)"
-                );
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    cli
-}
 
 /// Provisioning columns shared by every per-config table.
 fn config_fields(config: &cmam_arch::CgraConfig) -> Vec<String> {
@@ -250,7 +182,7 @@ fn run_search_mode(
     engine: &Engine,
     specs: &[KernelSpec],
     space: &[cmam_arch::CgraConfig],
-    cli: &Cli,
+    args: &Args,
 ) {
     println!(
         "searching {} configurations x {} kernels (successive halving, full flow: {})\n",
@@ -269,7 +201,7 @@ fn run_search_mode(
         FlowVariant::Cab,
         &energy,
         &SearchOptions {
-            max_jobs: cli.max_jobs,
+            max_jobs: args.count("--max-jobs"),
             ..SearchOptions::default()
         },
     );
@@ -348,7 +280,7 @@ fn run_search_mode(
         s.infeasible,
         result.frontier.len()
     );
-    if cli.resume || cli.max_jobs.is_some() {
+    if args.on("--resume") || args.count("--max-jobs").is_some() {
         println!(
             "resume: {} of {} scheduled jobs answered from cache ({} from the artifact \
              store), {} executed",
@@ -367,7 +299,7 @@ fn run_search_mode(
     // --verify: the exhaustive sweep must agree. Search results stay
     // warm in the cache, so the sweep only pays for eliminated configs'
     // unevaluated kernels.
-    if cli.verify && !result.aborted {
+    if args.on("--verify") && !result.aborted {
         let mut requests = Vec::new();
         for config in space {
             for spec in specs {
@@ -417,22 +349,41 @@ fn run_search_mode(
 }
 
 fn main() {
+    let args = cli::parse(
+        "dse_pareto",
+        &[
+            Flag("--search", Switch),
+            Flag("--exhaustive", Switch),
+            Flag("--space", Positive),
+            Flag("--space-seed", Seed),
+            Flag("--verify", Switch),
+            Flag("--resume", Switch),
+            Flag("--max-jobs", Count),
+            GENERATED,
+            SEED,
+            PROFILE,
+        ],
+    );
+    if args.on("--search") && args.on("--exhaustive") {
+        args.fail("--search and --exhaustive exclude each other");
+    }
     let _obs = cmam_bench::obs_session("dse").with_metrics();
-    let cli = parse_cli();
     println!("# DSE: energy/latency Pareto frontier over generated configurations\n");
     let mut specs = cmam_kernels::all();
-    specs.extend(GenCli::from_args().specs());
-    let space = match cli.space {
+    specs.extend(GenCli::from_flags(&args).specs());
+    let space = match args.count("--space") {
         Some(target) => generate_space(&SpaceParams {
             target,
-            seed: cli.space_seed,
+            seed: args
+                .seed("--space-seed")
+                .unwrap_or(cmam_engine::dse::DEFAULT_SPACE_SEED),
         }),
         None => validation_space(),
     };
     let engine = engine();
-    if cli.exhaustive {
+    if args.on("--exhaustive") {
         run_exhaustive(engine, &specs, &space);
     } else {
-        run_search_mode(engine, &specs, &space, &cli);
+        run_search_mode(engine, &specs, &space, &args);
     }
 }

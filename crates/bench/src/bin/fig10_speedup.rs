@@ -8,6 +8,7 @@ use cmam_bench::{emit_table, prewarm_smoke_matrix, run_cpu, run_flow};
 use cmam_core::FlowVariant;
 
 fn main() {
+    cmam_bench::cli::parse("fig10_speedup", &[]);
     let _obs = cmam_bench::obs_session("fig10_speedup");
     println!("# Fig 10: CGRA speed-up over the CPU\n");
     let specs = cmam_kernels::all();

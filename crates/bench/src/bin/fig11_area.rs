@@ -7,6 +7,7 @@ use cmam_bench::emit_table;
 use cmam_energy::{cgra_area, cpu_area, AreaParams};
 
 fn main() {
+    cmam_bench::cli::parse("fig11_area", &[]);
     let _obs = cmam_bench::obs_session("fig11_area");
     println!("# Fig 11: area comparison (µm², synthetic 28nm-scale model)\n");
     let p = AreaParams::default();

@@ -7,6 +7,7 @@ use cmam_bench::{emit_table, run_flow};
 use cmam_core::FlowVariant;
 
 fn main() {
+    cmam_bench::cli::parse("fig2_occupancy", &[]);
     let _obs = cmam_bench::obs_session("fig2_occupancy");
     println!("# Fig 2: per-tile context words, MatM, basic mapping on HOM64\n");
     let spec = cmam_kernels::matm::spec();

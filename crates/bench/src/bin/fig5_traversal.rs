@@ -8,6 +8,7 @@ use cmam_bench::{emit_table, engine, run_flow, JobRequest};
 use cmam_core::FlowVariant;
 
 fn main() {
+    cmam_bench::cli::parse("fig5_traversal", &[]);
     let _obs = cmam_bench::obs_session("fig5_traversal");
     println!("# Fig 5: weighted traversal vs forward traversal (pnops, moves)\n");
     let config = CgraConfig::unconstrained_4x4();

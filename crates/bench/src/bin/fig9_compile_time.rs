@@ -63,6 +63,7 @@ fn time_variant(engine: &Engine, variant: FlowVariant, config: &CgraConfig) -> E
 }
 
 fn main() {
+    cmam_bench::cli::parse("fig9_compile_time", &[]);
     let _obs = cmam_bench::obs_session("fig9_compile_time");
     println!("# Fig 9: average compilation time per flow step\n");
     // A sequential, uncached engine: timing must be contention- and

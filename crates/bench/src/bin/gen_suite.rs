@@ -32,7 +32,9 @@
 //! * `--verbose`      one line per job instead of one per kernel
 
 use cmam_arch::CgraConfig;
-use cmam_bench::gen::{parse_u64, GenCli};
+use cmam_bench::cli::Kind::{Count, Seed, Switch};
+use cmam_bench::cli::{self, Flag, PROFILE, SEED};
+use cmam_bench::gen::{GenCli, DEFAULT_GEN_SEED};
 use cmam_cdfg::generate::GenParams;
 use cmam_core::{FlowVariant, Mapper, MapperOptions};
 use cmam_isa::assemble;
@@ -50,53 +52,6 @@ fn job_matrix() -> Vec<(FlowVariant, CgraConfig)> {
         (FlowVariant::Cab, CgraConfig::het1()),
         (FlowVariant::Cab, CgraConfig::het2()),
     ]
-}
-
-struct Args {
-    count: usize,
-    seed: u64,
-    profile: String,
-    kernel_seed: Option<u64>,
-    require: usize,
-    digest: bool,
-    verbose: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let cli = GenCli::parse(std::env::args().skip(1))?;
-    let mut args = Args {
-        count: 60,
-        seed: cli.seed,
-        profile: cli.profile,
-        kernel_seed: None,
-        require: 0,
-        digest: false,
-        verbose: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut take = |name: &str| it.next().ok_or(format!("{name} needs a value"));
-        match a.as_str() {
-            "--count" => {
-                args.count = take("--count")?
-                    .parse()
-                    .map_err(|e| format!("--count: {e}"))?;
-            }
-            "--kernel-seed" => args.kernel_seed = Some(parse_u64(&take("--kernel-seed")?)?),
-            "--require" => {
-                args.require = take("--require")?
-                    .parse()
-                    .map_err(|e| format!("--require: {e}"))?;
-            }
-            "--digest" => args.digest = true,
-            "--verbose" => args.verbose = true,
-            _ => {}
-        }
-    }
-    if args.kernel_seed.is_some() && args.profile == "mixed" {
-        return Err("--kernel-seed needs an explicit --profile".to_owned());
-    }
-    Ok(args)
 }
 
 /// Plain (unsalted) FNV-1a over a kernel's full structure — name, graph
@@ -216,36 +171,43 @@ fn repro_line(profile: &str, kernel_seed: u64) -> String {
 }
 
 fn main() -> ExitCode {
-    let _obs = cmam_bench::obs_session("gen_suite").with_metrics();
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("gen_suite: {e}");
-            return ExitCode::from(2);
-        }
+    let args = cli::parse(
+        "gen_suite",
+        &[
+            Flag("--count", Count),
+            SEED,
+            PROFILE,
+            Flag("--kernel-seed", Seed),
+            Flag("--require", Count),
+            Flag("--digest", Switch),
+            Flag("--verbose", Switch),
+        ],
+    );
+    let suite = GenCli {
+        generated: args.count("--count").unwrap_or(60),
+        seed: args.seed(SEED.0).unwrap_or(DEFAULT_GEN_SEED),
+        profile: args.text(PROFILE.0).unwrap_or("mixed").to_owned(),
     };
+    let kernel_seed = args.seed("--kernel-seed");
+    if kernel_seed.is_some() && suite.profile == "mixed" {
+        args.fail("--kernel-seed needs an explicit --profile");
+    }
+    let _obs = cmam_bench::obs_session("gen_suite").with_metrics();
 
     // (profile label, generation seed) for every kernel of this run.
-    let plan: Vec<(GenParams, u64)> = match args.kernel_seed {
+    let plan: Vec<(GenParams, u64)> = match kernel_seed {
         Some(s) => vec![(
-            GenParams::profile(&args.profile).expect("validated at parse time"),
+            GenParams::profile(&suite.profile).expect("validated at parse time"),
             s,
         )],
-        None => {
-            let cli = GenCli {
-                generated: args.count,
-                seed: args.seed,
-                profile: args.profile.clone(),
-            };
-            kernel_seeds(args.seed, args.count)
-                .into_iter()
-                .enumerate()
-                .map(|(k, s)| (cli.params_for(k), s))
-                .collect()
-        }
+        None => kernel_seeds(suite.seed, suite.generated)
+            .into_iter()
+            .enumerate()
+            .map(|(k, s)| (suite.params_for(k), s))
+            .collect(),
     };
 
-    if args.digest {
+    if args.on("--digest") {
         for (params, seed) in &plan {
             let spec = generated_spec(params, *seed);
             println!("{} {:016x}", spec.name, kernel_digest(&spec));
@@ -280,7 +242,7 @@ fn main() -> ExitCode {
                 maperrs += 1;
                 kernel_maperr += 1;
             }
-            if args.verbose {
+            if args.on("--verbose") {
                 println!(
                     "{} {variant}@{} {}",
                     spec.name,
@@ -293,7 +255,7 @@ fn main() -> ExitCode {
                 );
             }
         }
-        if !args.verbose {
+        if !args.on("--verbose") {
             println!(
                 "{} verified={kernel_ok}/{} maperr={kernel_maperr}",
                 spec.name,
@@ -305,18 +267,16 @@ fn main() -> ExitCode {
     println!(
         "gen_suite: {jobs} jobs, {verified} verified, {maperrs} maperr, {failures} FAILED \
          (seed {:#x}, count {}, profile {})",
-        args.seed,
+        suite.seed,
         plan.len(),
-        args.profile
+        suite.profile
     );
     if failures > 0 {
         return ExitCode::FAILURE;
     }
-    if verified < args.require {
-        eprintln!(
-            "gen_suite: only {verified} verified jobs, --require {} not met",
-            args.require
-        );
+    let require = args.count("--require").unwrap_or(0);
+    if verified < require {
+        eprintln!("gen_suite: only {verified} verified jobs, --require {require} not met");
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

@@ -15,9 +15,10 @@
 //! (cross-check every lane's final memory against the sequential CDFG
 //! interpreter and the batched outcome against the engine's batch-sim
 //! job kind), `--generated N [--seed S] [--profile P]` (widen the kernel
-//! mix), plus the shared `--jobs N`, `--no-cache` and `--csv`.
+//! mix), plus the flags every binary shares (see [`cmam_bench::cli`]).
 
-use cmam_bench::gen::parse_u64;
+use cmam_bench::cli::Kind::{Positive, Seed, Switch};
+use cmam_bench::cli::{self, Flag, GENERATED, PROFILE, SEED};
 use cmam_bench::{emit_table, engine, mul_fraction, GenCli, BATCH_SEED};
 use cmam_core::FlowVariant;
 use cmam_energy::EnergyParams;
@@ -42,55 +43,23 @@ fn batch_counters() -> (u64, u64, u64) {
 }
 
 fn main() {
+    let args = cli::parse(
+        "input_sweep",
+        &[
+            Flag("--lanes", Positive),
+            Flag("--input-seed", Seed),
+            Flag("--verify", Switch),
+            GENERATED,
+            SEED,
+            PROFILE,
+        ],
+    );
     let _obs = cmam_bench::obs_session("input_sweep").with_metrics();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut lanes: usize = 256;
-    let mut input_seed: u64 = BATCH_SEED;
-    let mut verify = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--lanes" => {
-                i += 1;
-                lanes = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("input_sweep: --lanes needs a positive integer");
-                        std::process::exit(2);
-                    });
-            }
-            "--input-seed" => {
-                i += 1;
-                input_seed = args
-                    .get(i)
-                    .ok_or_else(|| "missing value".to_owned())
-                    .and_then(|v| parse_u64(v))
-                    .unwrap_or_else(|e| {
-                        eprintln!("input_sweep: --input-seed needs an integer: {e}");
-                        std::process::exit(2);
-                    });
-            }
-            "--verify" => verify = true,
-            // Parsed by GenCli, the obs session and the shared engine;
-            // skip their values here.
-            "--generated" | "--seed" | "--profile" | "--trace-out" | "--jobs" => i += 1,
-            "--metrics" | "--no-cache" | "--csv" => {}
-            o if o.starts_with("--trace-out=") || o.starts_with("--jobs=") => {}
-            other => {
-                eprintln!(
-                    "unknown flag {other} (known: --lanes N, --input-seed S, --verify, \
-                     --generated N, --seed S, --profile P, --trace-out FILE, --metrics, \
-                     --jobs N, --no-cache, --csv)"
-                );
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+    let lanes = args.count("--lanes").unwrap_or(256);
+    let input_seed = args.seed("--input-seed").unwrap_or(BATCH_SEED);
+    let verify = args.on("--verify");
     let mut specs = cmam_kernels::all();
-    specs.extend(GenCli::from_args().specs());
+    specs.extend(GenCli::from_flags(&args).specs());
     let config = cmam_arch::CgraConfig::hom64();
     let variant = FlowVariant::Basic;
     println!(

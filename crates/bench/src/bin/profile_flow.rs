@@ -12,8 +12,8 @@
 //!
 //! ```text
 //! profile_flow [--kernel conv] [--config het2] [--flow cab]
-//!              [--trace-out profile_flow.trace.json] [--jobs N]
-//!              [--batch-lanes N] [--no-cache] [--csv]
+//!              [--batch-lanes N] [--trace-out profile_flow.trace.json]
+//!              [--jobs N] [--no-cache] [--csv] [--metrics]
 //! profile_flow --validate-trace FILE
 //! ```
 //!
@@ -28,45 +28,38 @@
 //! * `--validate-trace F`  don't profile: parse and validate an existing
 //!   trace file (schema + per-thread span nesting) and exit — the CI
 //!   check behind `smoke --trace-out`.
-//! * `--jobs N`, `--no-cache`, `--csv`  the flags every binary shares;
-//!   `--no-cache` changes nothing here, the profiled engine never caches.
+//! * `--jobs N`, `--no-cache`, `--csv`, `--metrics`  the flags every
+//!   binary shares (see [`cmam_bench::cli`]); `--no-cache` changes
+//!   nothing here, the profiled engine never caches.
 
 use cmam_arch::CgraConfig;
+use cmam_bench::cli::Kind::{Count, Text};
+use cmam_bench::cli::{self, Args, Flag};
 use cmam_bench::{emit_table, JobRequest, BATCH_SEED};
 use cmam_core::FlowVariant;
 use cmam_engine::{BatchSimRequest, Engine, EngineOptions};
 use cmam_obs::json::{self, Value};
 use std::collections::BTreeMap;
 
-fn usage_error(msg: &str) -> ! {
-    eprintln!("profile_flow: {msg}");
-    eprintln!(
-        "usage: profile_flow [--kernel NAME] [--config hom64|hom32|het1|het2|u4x4] \
-         [--flow basic|weighted|acmap|ecmap|cab] [--trace-out FILE] [--jobs N] \
-         [--batch-lanes N] [--no-cache] [--csv] | --validate-trace FILE"
-    );
-    std::process::exit(2);
-}
-
-fn parse_flow(name: &str) -> FlowVariant {
+fn parse_flow(args: &Args, name: &str) -> FlowVariant {
     match name.to_ascii_lowercase().as_str() {
         "basic" => FlowVariant::Basic,
         "weighted" => FlowVariant::Weighted,
         "acmap" => FlowVariant::Acmap,
         "ecmap" => FlowVariant::Ecmap,
         "cab" => FlowVariant::Cab,
-        other => usage_error(&format!("unknown flow {other:?}")),
+        other => args.fail(&format!("unknown flow {other:?}")),
     }
 }
 
-fn parse_config(name: &str) -> CgraConfig {
+fn parse_config(args: &Args, name: &str) -> CgraConfig {
     match name.to_ascii_lowercase().as_str() {
         "hom64" => CgraConfig::hom64(),
         "hom32" => CgraConfig::hom32(),
         "het1" => CgraConfig::het1(),
         "het2" => CgraConfig::het2(),
         "u4x4" => CgraConfig::unconstrained_4x4(),
-        other => usage_error(&format!("unknown config {other:?}")),
+        other => args.fail(&format!("unknown config {other:?}")),
     }
 }
 
@@ -98,42 +91,24 @@ struct PhaseAgg {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut kernel = "conv".to_owned();
-    let mut config_name = "het2".to_owned();
-    let mut flow_name = "cab".to_owned();
-    let mut trace_out = "profile_flow.trace.json".to_owned();
-    let mut batch_lanes: usize = 64;
-    let mut i = 0;
-    let value = |args: &[String], i: &mut usize, flag: &str| -> String {
-        *i += 1;
-        args.get(*i)
-            .unwrap_or_else(|| usage_error(&format!("{flag} expects a value")))
-            .clone()
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--kernel" => kernel = value(&args, &mut i, "--kernel"),
-            "--config" => config_name = value(&args, &mut i, "--config"),
-            "--flow" => flow_name = value(&args, &mut i, "--flow"),
-            "--trace-out" => trace_out = value(&args, &mut i, "--trace-out"),
-            "--batch-lanes" => {
-                batch_lanes = value(&args, &mut i, "--batch-lanes")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--batch-lanes expects an integer"));
-            }
-            "--validate-trace" => {
-                let path = value(&args, &mut i, "--validate-trace");
-                validate_file(&path);
-            }
-            // Consumed by EngineOptions::from_args below and emit_table.
-            "--jobs" => i += 1,
-            "--no-cache" | "--csv" => {}
-            o if o.starts_with("--jobs=") => {}
-            other => usage_error(&format!("unknown flag {other}")),
-        }
-        i += 1;
+    let args = cli::parse(
+        "profile_flow",
+        &[
+            Flag("--kernel", Text("NAME")),
+            Flag("--config", Text("hom64|hom32|het1|het2|u4x4")),
+            Flag("--flow", Text("basic|weighted|acmap|ecmap|cab")),
+            Flag("--batch-lanes", Count),
+            Flag("--validate-trace", Text("FILE")),
+        ],
+    );
+    if let Some(path) = args.text("--validate-trace") {
+        validate_file(path);
     }
+    let kernel = args.text("--kernel").unwrap_or("conv");
+    let trace_out = cli::shared()
+        .trace_out
+        .unwrap_or_else(|| "profile_flow.trace.json".into());
+    let batch_lanes = args.count("--batch-lanes").unwrap_or(64);
 
     let specs = cmam_kernels::all();
     // Exact (case-insensitive) name, else a unique substring — `conv`
@@ -145,7 +120,7 @@ fn main() {
         .collect();
     let spec = matches
         .iter()
-        .find(|s| s.name.eq_ignore_ascii_case(&kernel))
+        .find(|s| s.name.eq_ignore_ascii_case(kernel))
         .copied()
         .or(if matches.len() == 1 {
             Some(matches[0])
@@ -154,20 +129,21 @@ fn main() {
         })
         .unwrap_or_else(|| {
             let known: Vec<&str> = specs.iter().map(|s| s.name.as_str()).collect();
-            usage_error(&format!(
+            args.fail(&format!(
                 "unknown or ambiguous kernel {kernel:?} (known: {})",
                 known.join(", ")
             ))
         });
-    let config = parse_config(&config_name);
-    let flow = parse_flow(&flow_name);
+    let config = parse_config(&args, args.text("--config").unwrap_or("het2"));
+    let flow = parse_flow(&args, args.text("--flow").unwrap_or("cab"));
 
     // Record everything; an uncached private engine so the phases
     // actually run instead of answering from `target/cmam-cache/`.
     cmam_obs::enable_tracing();
     let engine = Engine::new(EngineOptions {
+        jobs: cli::shared().jobs,
         cache_dir: None,
-        ..EngineOptions::from_args()
+        cache_bytes: None,
     });
     let request = JobRequest::flow(spec, flow, &config);
     let outcome = engine.run_batch(std::slice::from_ref(&request));
@@ -328,14 +304,20 @@ fn main() {
         .collect();
     emit_table(&["stage", "µs", "share %"], &rows);
 
-    if trace_out != "-" {
-        cmam_obs::write_chrome_trace(trace_out.as_ref())
-            .unwrap_or_else(|e| panic!("writing {trace_out}: {e}"));
+    if cli::shared().metrics {
+        eprint!("METRICS {}", cmam_obs::metrics::metrics_json());
+    }
+    if trace_out.as_os_str() != "-" {
+        let shown = trace_out.display();
+        if let Err(e) = cmam_obs::write_chrome_trace(&trace_out) {
+            eprintln!("profile_flow: writing {shown}: {e}");
+            std::process::exit(1);
+        }
         let written = std::fs::read_to_string(&trace_out).expect("trace file readable");
         match cmam_obs::validate_chrome_trace(&written) {
-            Ok(n) => eprintln!("profile_flow: wrote {trace_out} ({n} events, validated)"),
+            Ok(n) => eprintln!("profile_flow: wrote {shown} ({n} events, validated)"),
             Err(e) => {
-                eprintln!("profile_flow: {trace_out} failed validation: {e}");
+                eprintln!("profile_flow: {shown} failed validation: {e}");
                 std::process::exit(1);
             }
         }

@@ -15,13 +15,15 @@
 //! for single-kernel replay at an exact generation seed). Without the
 //! flag, output is byte-identical to before the flag existed.
 
+use cmam_bench::cli::{self, GENERATED, PROFILE, SEED};
 use cmam_bench::{engine, smoke_matrix, GenCli, JobRequest};
 use std::time::Instant;
 
 fn main() {
+    let args = cli::parse("smoke", &[GENERATED, SEED, PROFILE]);
     let _obs = cmam_bench::obs_session("smoke").with_metrics();
     let mut specs = cmam_kernels::all();
-    specs.extend(GenCli::from_args().specs());
+    specs.extend(GenCli::from_flags(&args).specs());
     let matrix = smoke_matrix();
     let mut requests = Vec::new();
     let mut labels = Vec::new();

@@ -4,6 +4,7 @@ use cmam_arch::CgraConfig;
 use cmam_bench::emit_table;
 
 fn main() {
+    cmam_bench::cli::parse("tab1_configs", &[]);
     let _obs = cmam_bench::obs_session("tab1_configs");
     println!("# Table I: context-memory configurations\n");
     let rows: Vec<Vec<String>> = CgraConfig::table_one()

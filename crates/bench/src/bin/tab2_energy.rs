@@ -8,6 +8,7 @@ use cmam_bench::{cgra_energy_of, emit_table, prewarm_smoke_matrix, run_cpu, run_
 use cmam_core::FlowVariant;
 
 fn main() {
+    cmam_bench::cli::parse("tab2_energy", &[]);
     let _obs = cmam_bench::obs_session("tab2_energy");
     println!("# Table II: energy (µJ)\n");
     let hom64 = CgraConfig::hom64();

@@ -1,13 +1,17 @@
-//! Shared CLI plumbing for generated workloads.
+//! Generated kernels in the experiment binaries' kernel mix.
 //!
-//! Every experiment binary understands `--generated N --seed S` through
-//! [`GenCli::from_args`]: `N` extra kernels are derived from root seed `S`
-//! (profiles cycling through [`GenParams::PROFILES`], per-kernel seeds
-//! from [`cmam_kernels::kernel_seeds`]) and appended to the seven
-//! hand-written kernels. With no flags, [`GenCli::specs`] is empty and
-//! every binary's default output is byte-identical to before the flags
-//! existed (CI relies on that for the smoke-twice diff).
+//! The binaries that widen their kernel mix (`smoke`, `dse_pareto`,
+//! `input_sweep`) put [`cli::GENERATED`], [`cli::SEED`] and
+//! [`cli::PROFILE`] in their flag table and read them back through
+//! [`GenCli::from_flags`]: `--generated N` extra kernels are derived from
+//! root seed `--seed S` (profiles cycling through [`GenParams::PROFILES`],
+//! or all `--profile P`; per-kernel seeds from
+//! [`cmam_kernels::kernel_seeds`]) and appended to the seven hand-written
+//! kernels. With no flags, [`GenCli::specs`] is empty and every binary's
+//! default output is byte-identical to before the flags existed (CI
+//! relies on that for the smoke-twice diff).
 
+use crate::cli::{self, Args};
 use cmam_cdfg::generate::GenParams;
 use cmam_kernels::{generated_spec, kernel_seeds, KernelSpec};
 
@@ -36,60 +40,19 @@ impl Default for GenCli {
     }
 }
 
-/// Parses `s` as decimal or `0x…`/`0X…` hexadecimal.
-pub fn parse_u64(s: &str) -> Result<u64, String> {
-    let r = if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16)
-    } else {
-        s.parse()
-    };
-    r.map_err(|_| format!("not a number: {s}"))
-}
-
 impl GenCli {
-    /// Reads the flags from an argument list (typically
-    /// `std::env::args().skip(1)`). Unknown arguments are ignored — each
-    /// binary parses its own flags from the same list.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when a flag is present without a value or with an
-    /// unparsable one.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<GenCli, String> {
-        let mut cli = GenCli::default();
-        let mut it = args.into_iter();
-        while let Some(a) = it.next() {
-            let mut take = |name: &str| it.next().ok_or(format!("{name} needs a value"));
-            match a.as_str() {
-                "--generated" => {
-                    cli.generated = take("--generated")?
-                        .parse()
-                        .map_err(|e| format!("--generated: {e}"))?;
-                }
-                "--seed" => cli.seed = parse_u64(&take("--seed")?)?,
-                "--profile" => {
-                    let p = take("--profile")?;
-                    if p != "mixed" && GenParams::profile(&p).is_none() {
-                        return Err(format!(
-                            "unknown profile {p}; known: mixed, {}",
-                            GenParams::PROFILES.join(", ")
-                        ));
-                    }
-                    cli.profile = p;
-                }
-                _ => {}
-            }
+    /// The generated-kernel flags of a command line whose table holds
+    /// [`cli::GENERATED`], [`cli::SEED`] and [`cli::PROFILE`]; each flag
+    /// not given keeps its default.
+    pub fn from_flags(args: &Args) -> GenCli {
+        let default = GenCli::default();
+        GenCli {
+            generated: args.count(cli::GENERATED.0).unwrap_or(default.generated),
+            seed: args.seed(cli::SEED.0).unwrap_or(default.seed),
+            profile: args
+                .text(cli::PROFILE.0)
+                .map_or(default.profile, str::to_owned),
         }
-        Ok(cli)
-    }
-
-    /// [`GenCli::parse`] over the process arguments, exiting with the
-    /// error message on a bad flag.
-    pub fn from_args() -> GenCli {
-        GenCli::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
-            eprintln!("gen: {e}");
-            std::process::exit(2);
-        })
     }
 
     /// The parameter profile for the `k`-th kernel of this run.
@@ -118,37 +81,39 @@ impl GenCli {
 mod tests {
     use super::*;
 
-    fn argv(s: &[&str]) -> Vec<String> {
-        s.iter().map(|a| a.to_string()).collect()
+    fn parse(s: &[&str]) -> Result<GenCli, String> {
+        let flags = [cli::GENERATED, cli::SEED, cli::PROFILE];
+        let args = cli::parse_from("t", &flags, s.iter().map(|a| a.to_string()))?;
+        Ok(GenCli::from_flags(&args))
     }
 
     #[test]
     fn absent_flags_mean_no_generated_kernels() {
-        let cli = GenCli::parse(argv(&["--jobs", "4", "--csv"])).unwrap();
+        let cli = parse(&["--jobs", "4", "--csv"]).unwrap();
         assert_eq!(cli, GenCli::default());
         assert!(cli.specs().is_empty());
     }
 
     #[test]
     fn flags_parse_decimal_and_hex() {
-        let cli = GenCli::parse(argv(&["--generated", "3", "--seed", "0xBEEF"])).unwrap();
+        let cli = parse(&["--generated", "3", "--seed", "0xBEEF"]).unwrap();
         assert_eq!(cli.generated, 3);
         assert_eq!(cli.seed, 0xBEEF);
-        let cli = GenCli::parse(argv(&["--seed", "12345"])).unwrap();
+        let cli = parse(&["--seed", "12345"]).unwrap();
         assert_eq!(cli.seed, 12345);
     }
 
     #[test]
     fn bad_values_are_rejected() {
-        assert!(GenCli::parse(argv(&["--seed"])).is_err());
-        assert!(GenCli::parse(argv(&["--seed", "zap"])).is_err());
-        assert!(GenCli::parse(argv(&["--generated", "-1"])).is_err());
-        assert!(GenCli::parse(argv(&["--profile", "nope"])).is_err());
+        assert!(parse(&["--seed"]).is_err());
+        assert!(parse(&["--seed", "zap"]).is_err());
+        assert!(parse(&["--generated", "-1"]).is_err());
+        assert!(parse(&["--profile", "nope"]).is_err());
     }
 
     #[test]
     fn specs_are_deterministic_and_named_by_seed() {
-        let cli = GenCli::parse(argv(&["--generated", "2", "--seed", "7"])).unwrap();
+        let cli = parse(&["--generated", "2", "--seed", "7"]).unwrap();
         let a = cli.specs();
         let b = cli.specs();
         assert_eq!(a.len(), 2);
@@ -163,7 +128,7 @@ mod tests {
 
     #[test]
     fn fixed_profile_applies_to_every_kernel() {
-        let cli = GenCli::parse(argv(&["--generated", "3", "--profile", "deep"])).unwrap();
+        let cli = parse(&["--generated", "3", "--profile", "deep"]).unwrap();
         for spec in cli.specs() {
             assert!(spec.name.starts_with("gen-deep-"), "{}", spec.name);
         }

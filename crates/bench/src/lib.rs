@@ -2,19 +2,19 @@
 //!
 //! Shared plumbing for the experiment binaries: one per paper table or
 //! figure (`tab1_configs`, `fig2_occupancy`, `fig5_traversal`,
-//! `fig6_acmap`, `fig7_ecmap`, `fig8_cab`, `fig9_compile_time`,
-//! `fig10_speedup`, `fig11_area`, `tab2_energy`), one per scenario beyond
-//! the paper (`dse_pareto`, `input_sweep`, `ablation_population`) and
-//! the `smoke`, `gen_suite` and `profile_flow` checks. The repository's
-//! benchmark is the separate `perfbench/` package, which uses only
-//! [`cgra_energy_of`] and [`mul_fraction`] from this crate.
+//! `fig6_8_latency`, `fig9_compile_time`, `fig10_speedup`, `fig11_area`,
+//! `tab2_energy`), one per scenario beyond the paper (`dse_pareto`,
+//! `input_sweep`, `ablation_population`) and the `smoke`, `gen_suite`
+//! and `profile_flow` checks. The repository's benchmark is the separate
+//! `perfbench/` package, which uses only [`cgra_energy_of`] and
+//! [`mul_fraction`] from this crate.
 //!
-//! All mapping work is submitted through the shared [`engine()`] — a
+//! Every binary's `main` first calls [`cli::parse`] with its own flag
+//! table. All mapping work goes through the shared [`engine()`] — a
 //! [`cmam_engine::Engine`] that deduplicates identical jobs, runs batches
-//! on a work-stealing thread pool and memoises every outcome in memory
-//! and on disk (`target/cmam-cache/`). Every binary therefore understands
-//! `--jobs N` (worker threads), `--no-cache` (disable the disk store) and
-//! `--csv` (machine-readable output alongside each table).
+//! on a work-stealing thread pool (`--jobs N`) and memoises every outcome
+//! in memory and on disk (`target/cmam-cache/`, skipped under
+//! `--no-cache`); tables go through [`emit_table`] (`--csv`).
 
 use cmam_arch::CgraConfig;
 use cmam_cdfg::{Cdfg, Opcode};
@@ -24,6 +24,7 @@ use cmam_energy::{cpu_energy, EnergyBreakdown, EnergyParams};
 use cmam_kernels::KernelSpec;
 use std::sync::OnceLock;
 
+pub mod cli;
 pub mod gen;
 pub mod obs_session;
 
@@ -40,15 +41,22 @@ pub use cmam_engine::{
 /// `input_image(BATCH_SEED, l, ..)`).
 pub const BATCH_SEED: u64 = 0xBA7C_5EED;
 
-/// The process-wide compilation engine, configured once from the
-/// command-line arguments (`--jobs N`, `--no-cache`).
+/// The process-wide compilation engine, configured once from the shared
+/// flags `main` parsed (`--jobs N`, `--no-cache`; see [`cli::shared`]).
 ///
 /// Binaries share this instance so that repeated (kernel, flow, config)
 /// combinations — e.g. the HOM64 baseline every figure normalises to —
 /// compile exactly once per process, and once per *cache lifetime* across
 /// processes.
 pub fn engine() -> &'static Engine {
-    ENGINE.get_or_init(|| Engine::new(EngineOptions::from_args()))
+    ENGINE.get_or_init(|| {
+        let flags = cli::shared();
+        Engine::new(EngineOptions {
+            jobs: flags.jobs,
+            cache_dir: (!flags.no_cache).then(EngineOptions::default_cache_dir),
+            cache_bytes: EngineOptions::cache_bytes_from_env(),
+        })
+    })
 }
 
 static ENGINE: OnceLock<Engine> = OnceLock::new();
@@ -130,11 +138,6 @@ pub fn cgra_energy_of(spec: &KernelSpec, config: &CgraConfig, out: &RunOutcome) 
     )
 }
 
-/// Whether `--csv` was passed to the current process.
-pub fn csv_flag() -> bool {
-    std::env::args().skip(1).any(|a| a == "--csv")
-}
-
 /// Renders a markdown-style table: a header row plus data rows.
 ///
 /// Ragged input is tolerated: rows wider than the header grow extra
@@ -202,12 +205,12 @@ pub fn print_csv(headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Prints the table, and — when the process was invoked with `--csv` —
-/// the same data again as CSV after a blank line. Every experiment binary
-/// emits its tables through this.
+/// Prints the table, and — when `main` parsed `--csv` — the same data
+/// again as CSV after a blank line. Every experiment binary emits its
+/// tables through this.
 pub fn emit_table(headers: &[&str], rows: &[Vec<String>]) {
     print_table(headers, rows);
-    if csv_flag() {
+    if cli::shared().csv {
         println!();
         print_csv(headers, rows);
     }
@@ -221,50 +224,6 @@ pub fn ratio(value: Option<f64>) -> String {
         Some(v) if v.is_finite() => format!("{v:.2}x"),
         _ => "-".to_owned(),
     }
-}
-
-/// Shared driver for Figs 6-8: latency of one flow variant on the
-/// constrained configurations (HOM32, HET1, HET2), normalised to the
-/// basic mapping on HOM64. Failures print as `0 (none)` — the zero bars
-/// of the paper's charts.
-///
-/// All 28 jobs (7 kernels x (1 baseline + 3 configs)) are submitted as a
-/// single engine batch, so they run in parallel and dedup against other
-/// figures' jobs; the table is rendered afterwards in deterministic
-/// order, so the output is byte-identical for any `--jobs` count.
-pub fn latency_sweep(title: &str, variant: FlowVariant) {
-    println!("# {title} (flow: {variant})\n");
-    let specs = cmam_kernels::all();
-    let hom64 = CgraConfig::hom64();
-    let configs = [CgraConfig::hom32(), CgraConfig::het1(), CgraConfig::het2()];
-    let mut requests = Vec::new();
-    for spec in &specs {
-        requests.push(JobRequest::flow(spec, FlowVariant::Basic, &hom64));
-        for config in &configs {
-            requests.push(JobRequest::flow(spec, variant, config));
-        }
-    }
-    let results = engine().run_batch(&requests);
-    let mut rows = Vec::new();
-    let per_kernel = 1 + configs.len();
-    for (k, spec) in specs.iter().enumerate() {
-        let base = results[k * per_kernel]
-            .as_ref()
-            .expect("basic maps on HOM64");
-        let mut row = vec![spec.name.to_owned(), base.cycles.to_string()];
-        for (c, config) in configs.iter().enumerate() {
-            match &results[k * per_kernel + 1 + c] {
-                Ok(out) => row.push(format!("{:.2}", out.cycles as f64 / base.cycles as f64)),
-                Err(e) => {
-                    row.push("0 (none)".to_owned());
-                    eprintln!("  [{}] {}: {e}", config.name(), spec.name);
-                }
-            }
-        }
-        rows.push(row);
-    }
-    emit_table(&["Kernel", "base cyc", "HOM32", "HET1", "HET2"], &rows);
-    println!("\n(latency normalised to basic mapping on HOM64; 0 = no mapping found)");
 }
 
 #[cfg(test)]

@@ -1,13 +1,15 @@
-//! Per-binary observability plumbing: the `--trace-out` / `--metrics`
-//! flags and the end-of-run summary every experiment binary prints.
+//! Per-binary observability plumbing: what the `--trace-out` /
+//! `--metrics` flags do, and the end-of-run summary every experiment
+//! binary prints.
 //!
-//! Usage, first line of `main`:
+//! Usage, right after [`cli::parse`](crate::cli::parse) in `main`:
 //!
 //! ```no_run
+//! cmam_bench::cli::parse("smoke", &[]);
 //! let _obs = cmam_bench::obs_session("smoke");
 //! ```
 //!
-//! The returned guard parses the process arguments once; on drop (end of
+//! The returned guard reads the flags `main` parsed; on drop (end of
 //! `main`) it emits, **to stderr** (stdout stays byte-identical for the
 //! CI determinism diffs):
 //!
@@ -15,8 +17,8 @@
 //!   / disk hits / executed (misses), tagged `cold`, `warm` or `mixed`
 //!   so a first run is distinguishable from a cached re-run at a glance;
 //! * with `--metrics` (or [`ObsSession::with_metrics`], the default for
-//!   `smoke`, `dse_pareto` and `gen_suite`): a `METRICS` block holding
-//!   the [`cmam_obs::metrics::metrics_json`] dump;
+//!   `smoke`, `dse_pareto`, `input_sweep` and `gen_suite`): a `METRICS`
+//!   block holding the [`cmam_obs::metrics::metrics_json`] dump;
 //! * with `--trace-out FILE`: the recorded Chrome trace, written to
 //!   `FILE` (tracing is force-enabled for the run; `CMAM_TRACE=1`
 //!   enables recording without choosing a file).
@@ -32,44 +34,25 @@ pub struct ObsSession {
     metrics: bool,
 }
 
-/// Parses `--trace-out FILE` (or `--trace-out=FILE`) and `--metrics`
-/// from the process arguments and returns the session guard. When a
-/// trace file was requested, span recording is enabled immediately.
+/// The session guard for the `--trace-out FILE` and `--metrics` flags
+/// `main` parsed (neither, when nothing was parsed). When a trace file
+/// was requested, span recording is enabled immediately.
 pub fn obs_session(name: &'static str) -> ObsSession {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut trace_out = None;
-    let mut metrics = false;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--metrics" {
-            metrics = true;
-        } else if args[i] == "--trace-out" {
-            match args.get(i + 1) {
-                Some(path) => {
-                    trace_out = Some(PathBuf::from(path));
-                    i += 1;
-                }
-                None => cmam_obs::warn!("--trace-out expects a file path; tracing disabled"),
-            }
-        } else if let Some(path) = args[i].strip_prefix("--trace-out=") {
-            trace_out = Some(PathBuf::from(path));
-        }
-        i += 1;
-    }
-    if trace_out.is_some() {
+    let flags = crate::cli::shared();
+    if flags.trace_out.is_some() {
         cmam_obs::enable_tracing();
     }
     ObsSession {
         name,
-        trace_out,
-        metrics,
+        trace_out: flags.trace_out,
+        metrics: flags.metrics,
     }
 }
 
 impl ObsSession {
     /// Always print the `METRICS` block, even without `--metrics` — the
     /// default for the machine-read binaries (`smoke`, `dse_pareto`,
-    /// `gen_suite`).
+    /// `input_sweep`, `gen_suite`).
     pub fn with_metrics(mut self) -> Self {
         self.metrics = true;
         self

@@ -67,7 +67,6 @@ pub mod analysis;
 pub mod builder;
 pub mod cdfg;
 pub mod dfg;
-pub mod dot;
 pub mod generate;
 pub mod interp;
 pub mod op;

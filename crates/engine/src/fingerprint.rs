@@ -10,6 +10,8 @@
 use cmam_arch::{CgraConfig, Geometry, TileConfig};
 use cmam_cdfg::{Cdfg, Terminator, ValueKind};
 use cmam_core::{MapperOptions, Traversal};
+use cmam_isa::program::BinTerminator;
+use cmam_isa::{CgraBinary, Instr, Operand};
 use cmam_kernels::KernelSpec;
 
 /// Bumped whenever the fingerprint coverage or the on-disk artifact format
@@ -179,7 +181,7 @@ impl Fingerprint for MapperOptions {
         h.feed_u64(self.seed);
         // `threads` is deliberately NOT hashed: the mapper's beam
         // parallelism is bit-identical for every thread count, so jobs
-        // differing only in their thread budget are the same job — a
+        // differing only in their thread count are the same job — a
         // sequential artifact must answer a parallel request and vice
         // versa.
     }
@@ -285,6 +287,59 @@ impl Fingerprint for Cdfg {
         for (_, sym) in self.symbols() {
             h.feed_str(&sym.name);
         }
+    }
+}
+
+impl Fingerprint for Instr {
+    fn fingerprint(&self, h: &mut Fnv64) {
+        match self {
+            Instr::Pnop { cycles } => h.feed_u64(u64::from(*cycles) << 8),
+            Instr::Exec { opcode, dst, srcs } => {
+                h.feed_u64(1 + ((*opcode as u64) << 8));
+                h.feed_i64(dst.map_or(-1, i64::from));
+                h.feed_usize(srcs.len());
+                for src in srcs {
+                    let (tag, reg) = match *src {
+                        Operand::Crf(i) => (0, i),
+                        Operand::Reg(i) => (1, i),
+                        Operand::Neighbor(d, i) => (2 + d as u64, i),
+                    };
+                    h.feed_u64(tag << 8 | u64::from(reg));
+                }
+            }
+        }
+    }
+}
+
+impl Fingerprint for CgraBinary {
+    fn fingerprint(&self, h: &mut Fnv64) {
+        h.feed_str(&self.name);
+        h.feed_usize(self.tiles.len());
+        for tile in &self.tiles {
+            h.feed_usize(tile.blocks.len());
+            for block in &tile.blocks {
+                h.feed_usize(block.len());
+                block.iter().for_each(|word| word.fingerprint(h));
+            }
+        }
+        h.feed_usize(self.crf.len());
+        for crf in &self.crf {
+            h.feed_usize(crf.len());
+            crf.iter().for_each(|&c| h.feed_i64(i64::from(c)));
+        }
+        h.feed_usize(self.block_lengths.len());
+        self.block_lengths.iter().for_each(|&len| h.feed_usize(len));
+        h.feed_usize(self.terminators.len());
+        for t in &self.terminators {
+            let (tag, a, b) = match *t {
+                BinTerminator::Jump(to) => (0, to, 0),
+                BinTerminator::Branch { taken, fallthrough } => (1, taken, fallthrough),
+                BinTerminator::Return => (2, 0, 0),
+            };
+            h.feed_u64(tag << 32 | u64::from(a));
+            h.feed_u64(u64::from(b));
+        }
+        h.feed_u64(u64::from(self.entry));
     }
 }
 

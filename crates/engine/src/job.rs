@@ -71,8 +71,7 @@ impl RunOutcome {
             h.feed_usize(m);
             h.feed_usize(p);
         }
-        h.feed_str(&format!("{}", self.binary));
-        h.feed_str(&cmam_isa::listing::context_listing(&self.binary));
+        self.binary.fingerprint(&mut h);
         for s in [
             self.map_stats.candidates,
             self.map_stats.attempts,
@@ -328,6 +327,7 @@ pub fn execute_with_recovery(req: &JobRequest<'_>, key: u64) -> (JobResult, u32)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cmam_isa::program::BinTerminator;
 
     #[test]
     fn failure_display_matches_legacy_wording() {
@@ -339,6 +339,27 @@ mod tests {
         assert_eq!(f.to_string(), "job panicked: z");
         assert!(f.retriable, "a panic may be environmental");
         assert_eq!(f.attempts, 4);
+    }
+
+    #[test]
+    fn the_digest_covers_the_binary_control_flow() {
+        let spec = cmam_kernels::fir::spec();
+        let hom64 = CgraConfig::hom64();
+        let out = execute(&JobRequest::flow(&spec, FlowVariant::Basic, &hom64)).expect("FIR maps");
+        assert!(out.binary.terminators.len() > 1, "FIR has a loop");
+        let digest = out.content_digest();
+        assert_eq!(out.clone().content_digest(), digest);
+
+        let mut moved_entry = out.clone();
+        moved_entry.binary.entry += 1;
+        assert_ne!(moved_entry.content_digest(), digest);
+
+        let mut retargeted = out;
+        retargeted.binary.terminators[0] = match retargeted.binary.terminators[0] {
+            BinTerminator::Return => BinTerminator::Jump(0),
+            _ => BinTerminator::Return,
+        };
+        assert_ne!(retargeted.content_digest(), digest);
     }
 
     #[test]

@@ -17,17 +17,14 @@
 //!   `CMAM_CACHE_DIR`), so repeated sweeps across processes are
 //!   near-free.
 //!
-//! Batches execute on the process-wide persistent [`cmam_pool`] — the
-//! same pool the mapper's intra-search beam parallelism draws from — and
-//! the engine hands every executing job a **mapper thread budget** so the
-//! two levels compose instead of oversubscribing: with at least as many
-//! pending jobs as workers each map runs sequentially, and as the
-//! pending set shrinks below the worker count (the sweep tail, or a
-//! single submitted job) the leftover workers move *inside* the maps.
+//! Batches execute on the process-wide persistent [`cmam_pool`], one job
+//! per worker. Each job maps with the thread count its
+//! [`MapperOptions::threads`] asks for (`0`: `CMAM_THREADS`, else one;
+//! see [`MapperOptions::effective_threads`]).
 //!
-//! Mapping is a pure seeded function — for any thread count, at either
-//! level — so a parallel run is bit-identical to a sequential one; the
-//! engine's tests assert this over the full smoke sweep. Experiment
+//! Mapping is a pure seeded function — for any thread count, across or
+//! inside jobs — so a parallel run is bit-identical to a sequential one;
+//! the engine's tests assert this over the full smoke sweep. Experiment
 //! binaries therefore accept `--jobs N` and `--no-cache` without any
 //! change in output.
 //!
@@ -134,51 +131,6 @@ impl EngineOptions {
             }
         }
     }
-
-    /// Options parsed from the process arguments: `--jobs N` (or
-    /// `--jobs=N`) picks the worker count, `--no-cache` disables the disk
-    /// store. Unknown arguments are ignored — experiment binaries layer
-    /// their own flags (e.g. `--csv`) on the same argv.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut jobs = 0usize;
-        let mut cache = true;
-        let mut i = 0;
-        while i < args.len() {
-            if args[i] == "--no-cache" {
-                cache = false;
-            } else if args[i] == "--jobs" {
-                // Only consume the next token when it actually is the
-                // count — `--jobs --no-cache` must not swallow the flag.
-                if let Some(n) = parse_jobs(args.get(i + 1).map(String::as_str)) {
-                    jobs = n;
-                    i += 1;
-                }
-            } else if let Some(v) = args[i].strip_prefix("--jobs=") {
-                if let Some(n) = parse_jobs(Some(v)) {
-                    jobs = n;
-                }
-            }
-            i += 1;
-        }
-        EngineOptions {
-            jobs,
-            cache_dir: cache.then(EngineOptions::default_cache_dir),
-            cache_bytes: EngineOptions::cache_bytes_from_env(),
-        }
-    }
-}
-
-/// The one parser both `--jobs` spellings share: a missing or malformed
-/// count warns through the [`cmam_obs::warn!`] funnel (counted in the
-/// `obs.warnings` metric) and returns `None` so the caller keeps the
-/// all-cores default.
-fn parse_jobs(value: Option<&str>) -> Option<usize> {
-    let parsed = value.and_then(|v| v.parse().ok());
-    if parsed.is_none() {
-        cmam_obs::warn!("--jobs expects a number; using all cores");
-    }
-    parsed
 }
 
 impl Default for EngineOptions {
@@ -283,25 +235,6 @@ impl Engine {
         &self.memo[(key % MEMO_SHARDS as u64) as usize]
     }
 
-    /// The mapper thread budget handed to each executing job so job-level
-    /// and intra-map parallelism compose: with `remaining >= workers`
-    /// every worker has its own job and each map runs sequentially; as
-    /// the unstarted frontier shrinks below the worker count (the batch
-    /// tail, or a single submitted job), the idle workers move inside the
-    /// maps instead. `remaining` is sampled *when the job starts* (a
-    /// shared countdown, see `run_batch`), so a large batch tightens and
-    /// then relaxes its budget as it drains. The budget never changes
-    /// any output — the mapper is bit-identical for every thread count —
-    /// so it is applied only to the executed clone of the options, never
-    /// to the job key.
-    fn intra_map_threads(remaining: usize, workers: usize) -> usize {
-        if remaining == 0 || remaining >= workers {
-            1
-        } else {
-            (workers / remaining).max(1)
-        }
-    }
-
     /// The effective worker count.
     pub fn workers(&self) -> usize {
         if self.options.jobs > 0 {
@@ -375,10 +308,10 @@ impl Engine {
             }
         }
         // Execute the frontier on the shared persistent pool. Each job is
-        // cloned into owned state (so the closure is `'static`), handed
-        // the composed mapper thread budget, and persisted to disk as
-        // soon as it finishes — an interrupted sweep keeps everything
-        // already computed. No memo lock is held while workers run.
+        // cloned into owned state (so the closure is `'static`) and
+        // persisted to disk as soon as it finishes — an interrupted sweep
+        // keeps everything already computed. No memo lock is held while
+        // workers run.
         batch_stats.executed = pending.len() as u64;
         let workers = self.workers();
         let jobs: Arc<Vec<PendingJob>> = Arc::new(
@@ -397,28 +330,16 @@ impl Engine {
         );
         let job_list = Arc::clone(&jobs);
         let disk = Arc::clone(&self.disk);
-        // Unstarted-job countdown: each job samples it at start, so the
-        // thread budget tightens while the frontier is wide and relaxes
-        // on the tail — the last `< workers` maps soak up the idle
-        // workers instead of leaving them parked.
-        let unstarted = Arc::new(std::sync::atomic::AtomicUsize::new(jobs.len()));
         // `try_run_indexed`: a job panic is retried and quarantined
         // inside `execute_with_recovery`, and even a panic that escapes
         // that net (a bug, or an injected worker fault) only costs its
         // own slot — the batch still completes with N-1 real results.
         let computed = cmam_pool::global().try_run_indexed(jobs.len(), workers, move |p| {
-            let remaining = unstarted.fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
             let j = &job_list[p];
-            let mut options = j.options.clone();
-            // Respect an explicitly requested per-map thread count; only
-            // the auto setting takes the budget.
-            if options.threads == 0 {
-                options.threads = Engine::intra_map_threads(remaining, workers);
-            }
             let request = JobRequest {
                 spec: &j.spec,
                 config: &j.config,
-                options,
+                options: j.options.clone(),
             };
             let (result, attempts) = job::execute_with_recovery(&request, j.key);
             disk.store(j.key, &result);
