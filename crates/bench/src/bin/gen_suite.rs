@@ -1,11 +1,9 @@
 //! Cross-stack differential test harness over generated kernels.
 //!
-//! For each generated kernel × (flow, config) job the suite runs the whole
-//! pipeline twice through independent implementations and demands
-//! bit-for-bit agreement:
+//! For each generated kernel × (flow, config) job the suite maps the
+//! kernel once, assembles it, and runs the back half through independent
+//! implementations, demanding bit-for-bit agreement:
 //!
-//! * **mapper**: `threads = 1` vs `threads = 4` must produce the identical
-//!   `(KernelMapping, MapStats)` — or the identical failure;
 //! * **simulator**: the decoded fast path vs the reference executable
 //!   spec, every `SimStats` counter and the final memory image;
 //! * **semantics**: the simulated memory image must equal the CDFG
@@ -36,7 +34,7 @@ use cmam_bench::cli::Kind::{Count, Seed, Switch};
 use cmam_bench::cli::{self, Flag, PROFILE, SEED};
 use cmam_bench::gen::{GenCli, DEFAULT_GEN_SEED};
 use cmam_cdfg::generate::GenParams;
-use cmam_core::{FlowVariant, Mapper, MapperOptions};
+use cmam_core::{FlowVariant, Mapper};
 use cmam_isa::assemble;
 use cmam_kernels::{generated_spec, kernel_seeds, KernelSpec};
 use cmam_sim::{simulate_reference, DecodedProgram, SimOptions};
@@ -72,20 +70,6 @@ fn kernel_digest(spec: &KernelSpec) -> u64 {
     h
 }
 
-fn map_with_threads(
-    variant: FlowVariant,
-    threads: usize,
-    spec: &KernelSpec,
-    config: &CgraConfig,
-) -> Result<(cmam_isa::KernelMapping, cmam_core::MapStats), String> {
-    let mut options: MapperOptions = variant.options();
-    options.threads = threads;
-    Mapper::new(options)
-        .map(&spec.cdfg, config)
-        .map(|r| (r.mapping, r.stats))
-        .map_err(|e| e.to_string())
-}
-
 struct JobOutcome {
     verified: bool,
     maperr: bool,
@@ -100,20 +84,10 @@ fn run_job(spec: &KernelSpec, variant: FlowVariant, config: &CgraConfig) -> JobO
         failure: Some(what),
     };
 
-    let seq = map_with_threads(variant, 1, spec, config);
-    let par = map_with_threads(variant, 4, spec, config);
-    if seq != par {
-        return fail(format!(
-            "mapper threads=1 and threads=4 diverge (seq {}, par {})",
-            if seq.is_ok() { "ok" } else { "err" },
-            if par.is_ok() { "ok" } else { "err" }
-        ));
-    }
-    let (mapping, _stats) = match seq {
-        Ok(m) => m,
-        // Identical failure on both thread counts: an acceptable outcome
-        // (a kernel can exceed a constrained config's context memory),
-        // but not a verified differential job.
+    let mapping = match Mapper::new(variant.options()).map(&spec.cdfg, config) {
+        Ok(r) => r.mapping,
+        // An acceptable outcome (a kernel can exceed a constrained
+        // config's context memory), but not a verified differential job.
         Err(_) => {
             return JobOutcome {
                 verified: false,

@@ -27,7 +27,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::error::Error;
 use std::fmt;
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Why a kernel could not be mapped.
@@ -132,8 +131,8 @@ impl MapStats {
     /// Flushes this run's aggregated statistics into the global
     /// `mapper.*` metrics — called once per [`Mapper::map`], so the
     /// search loops themselves carry no metrics instructions. The totals
-    /// are deterministic across thread counts because `MapStats` itself
-    /// is (pinned by the golden-equivalence suite).
+    /// are deterministic because `MapStats` itself is a pure function of
+    /// the inputs and the seed (pinned by the golden-equivalence suite).
     pub fn flush_metrics(&self, failed: bool) {
         cmam_obs::counter!("mapper.maps").add(1);
         if failed {
@@ -226,9 +225,8 @@ impl Candidate {
     }
 }
 
-/// Search counters produced by one expansion shard; folded into
-/// [`MapStats`] after the (sequential or parallel) round joins. Plain
-/// integer sums, so the fold order cannot influence the totals.
+/// Search counters produced by one partial's expansion; a round folds
+/// them into [`MapStats`].
 #[derive(Debug, Clone, Copy, Default)]
 struct ExpandStats {
     attempts: u64,
@@ -236,20 +234,9 @@ struct ExpandStats {
     rollbacks: u64,
 }
 
-impl ExpandStats {
-    fn absorb(&mut self, other: ExpandStats) {
-        self.attempts = self.attempts.saturating_add(other.attempts);
-        self.candidates += other.candidates;
-        self.rollbacks += other.rollbacks;
-    }
-}
-
 /// Expands one partial mapping for `op` at the given `slack`: the
 /// per-partial expansion cut over the tiles × window slots, with the
-/// memory-filter verdicts of the candidates it keeps. **The** candidate
-/// generator — the sequential path and every parallel beam shard call
-/// exactly this function, which is what makes the parallel search
-/// bit-identical to the sequential one by construction.
+/// memory-filter verdicts of the candidates it keeps.
 ///
 /// The cut keeps the `expansion` best successful trials by
 /// [`Candidate::rank`], sorted. Slots are tried in ascending order of an
@@ -372,144 +359,6 @@ fn expand_partial(
     st
 }
 
-/// The owned copy of one `map()` call's inputs that parallel beam shards
-/// share through an `Arc`. Cloning the CDFG and configuration once per
-/// `map()` call (graph-sized, microseconds) is what lets the shard jobs
-/// be `'static` for the persistent [`cmam_pool`] workers — no borrow of
-/// the caller's stack ever crosses a thread.
-#[derive(Debug)]
-struct SharedSearch {
-    cdfg: Cdfg,
-    config: CgraConfig,
-    options: MapperOptions,
-    pre: MapPre,
-}
-
-impl SharedSearch {
-    fn ctx(&self, reserve: usize) -> MapCtx<'_> {
-        MapCtx {
-            cdfg: &self.cdfg,
-            config: &self.config,
-            options: &self.options,
-            reserve,
-            pre: &self.pre,
-        }
-    }
-}
-
-/// Handle for the intra-search beam parallelism: the shared inputs plus
-/// the resolved thread count. Present only when
-/// [`MapperOptions::effective_threads`] > 1.
-struct BeamPool {
-    shared: Arc<SharedSearch>,
-    threads: usize,
-}
-
-/// Takes every partial back out of the per-index slots after a parallel
-/// round joined, restoring the population in index order.
-fn take_back(slots: &[Mutex<Option<Partial>>]) -> Vec<Partial> {
-    slots
-        .iter()
-        .map(|s| {
-            s.lock()
-                .expect("beam slot poisoned")
-                .take()
-                .expect("every shard returned its partial")
-        })
-        .collect()
-}
-
-/// Wraps a population into the `Mutex<Option<_>>` slots parallel jobs
-/// move their partials in and out of.
-fn into_slots(population: Vec<Partial>) -> Arc<Vec<Mutex<Option<Partial>>>> {
-    Arc::new(
-        population
-            .into_iter()
-            .map(|p| Mutex::new(Some(p)))
-            .collect(),
-    )
-}
-
-impl BeamPool {
-    /// One parallel expansion round: shards the `tiles × slack`
-    /// try/rollback loop across the beam (one shard per live partial) and
-    /// concatenates the per-partial candidate lists back **in partial
-    /// index order** — the exact order the sequential loop produces.
-    fn expand_round(
-        &self,
-        reserve: usize,
-        deps: &Arc<DepGraph>,
-        tiles: &Arc<Vec<TileId>>,
-        op: OpId,
-        slack: usize,
-        population: Vec<Partial>,
-    ) -> (Vec<Partial>, Vec<Candidate>, ExpandStats) {
-        let n = population.len();
-        let slots = into_slots(population);
-        let job_slots = Arc::clone(&slots);
-        let shared = Arc::clone(&self.shared);
-        let deps = Arc::clone(deps);
-        let tiles = Arc::clone(tiles);
-        let results = cmam_pool::global().run_indexed(n, self.threads, move |i| {
-            let ctx = shared.ctx(reserve);
-            let mut p = job_slots[i]
-                .lock()
-                .expect("beam slot poisoned")
-                .take()
-                .expect("partial present");
-            let mut local = Vec::new();
-            let st = expand_partial(
-                &ctx,
-                &deps,
-                &tiles,
-                op,
-                slack,
-                i,
-                &mut p,
-                &mut Vec::new(),
-                &mut local,
-            );
-            *job_slots[i].lock().expect("beam slot poisoned") = Some(p);
-            (local, st)
-        });
-        let population = take_back(&slots);
-        let mut pool: Vec<Candidate> = Vec::new();
-        let mut st = ExpandStats::default();
-        for (local, s) in results {
-            pool.extend(local);
-            st.absorb(s);
-        }
-        (population, pool, st)
-    }
-
-    /// One parallel finalisation round: every surviving partial runs its
-    /// (independent) symbol-commit + exact-fit trials on a shard; verdicts
-    /// come back in partial index order.
-    fn finalize_round(
-        &self,
-        reserve: usize,
-        block: BlockId,
-        population: Vec<Partial>,
-    ) -> (Vec<Partial>, Vec<bool>) {
-        let n = population.len();
-        let slots = into_slots(population);
-        let job_slots = Arc::clone(&slots);
-        let shared = Arc::clone(&self.shared);
-        let flags = cmam_pool::global().run_indexed(n, self.threads, move |i| {
-            let ctx = shared.ctx(reserve);
-            let mut p = job_slots[i]
-                .lock()
-                .expect("beam slot poisoned")
-                .take()
-                .expect("partial present");
-            let ok = p.finalize(&ctx, block);
-            *job_slots[i].lock().expect("beam slot poisoned") = Some(p);
-            ok
-        });
-        (take_back(&slots), flags)
-    }
-}
-
 impl Mapper {
     /// Creates a mapper with the given options.
     pub fn new(options: MapperOptions) -> Self {
@@ -521,15 +370,9 @@ impl Mapper {
         &self.options
     }
 
-    /// Maps `cdfg` onto `config`.
-    ///
-    /// With [`MapperOptions::threads`] (or `CMAM_THREADS`) above 1 the
-    /// candidate expansion and finalisation shard across the shared
-    /// [`cmam_pool`] — the result is **bit-identical** to the sequential
-    /// search for every thread count, because every shard runs the same
-    /// per-partial generator, shards join in partial index order, and the
-    /// only RNG consumer (the stochastic pruning) always runs
-    /// sequentially on the ordered candidate pool.
+    /// Maps `cdfg` onto `config`, entirely on the calling thread: a pure
+    /// function of the inputs and [`MapperOptions::seed`], so the engine
+    /// may run many maps at once without changing any of them.
     ///
     /// # Errors
     ///
@@ -563,16 +406,6 @@ impl Mapper {
         };
         let ntiles = config.geometry().num_tiles();
         let pre = MapPre::new(config);
-        let threads = self.options.effective_threads();
-        let beam = (threads > 1).then(|| BeamPool {
-            shared: Arc::new(SharedSearch {
-                cdfg: cdfg.clone(),
-                config: config.clone(),
-                options: self.options.clone(),
-                pre: pre.clone(),
-            }),
-            threads,
-        });
         let mut state = FlowState::new(ntiles);
         let mut rng = StdRng::seed_from_u64(self.options.seed);
         let mut blocks: Vec<Option<cmam_isa::BlockMapping>> = vec![None; cdfg.num_blocks()];
@@ -599,7 +432,6 @@ impl Mapper {
                 stats,
                 stages,
                 &mut pool_mem,
-                beam.as_ref(),
             )?;
             blocks[block.0 as usize] = Some(bm);
         }
@@ -624,11 +456,10 @@ impl Mapper {
         stats: &mut MapStats,
         stages: &mut StageNs,
         pool_mem: &mut Vec<Partial>,
-        beam: Option<&BeamPool>,
     ) -> Result<cmam_isa::BlockMapping, MapError> {
         let mut mark = Instant::now();
         let dfg = ctx.cdfg.dfg(block);
-        let deps = Arc::new(DepGraph::build(&dfg));
+        let deps = DepGraph::build(&dfg);
         let order = priority_order(&dfg, &deps);
         stages.schedule += lap(&mut mark);
         let _span = cmam_obs::span!(
@@ -636,7 +467,7 @@ impl Mapper {
             block = block.0 as u64,
             ops = order.len() as u64
         );
-        let tiles: Arc<Vec<TileId>> = Arc::new(ctx.config.geometry().tiles().collect());
+        let tiles: Vec<TileId> = ctx.config.geometry().tiles().collect();
 
         let mut population = vec![Partial::new(state, ctx)];
         // The candidate pool's and the open-tile list's buffers are reused
@@ -647,10 +478,7 @@ impl Mapper {
         for &op in &order {
             // Candidate generation with slack escalation. Every trial is
             // applied to the shared parent state and rolled back; cloning
-            // happens only for pruning survivors below. With beam
-            // parallelism on, the per-partial shards run concurrently and
-            // join in partial index order — the pool below is identical
-            // either way.
+            // happens only for pruning survivors below.
             let expand_span = cmam_obs::span!("expand", op = op.0 as u64);
             pool.clear();
             for escalation in 0..3 {
@@ -658,33 +486,14 @@ impl Mapper {
                 if escalation > 0 {
                     stats.escalations += 1;
                 }
-                let round_stats = match beam {
-                    Some(bp) if population.len() > 1 => {
-                        let (pop, cands, st) = bp.expand_round(
-                            ctx.reserve,
-                            &deps,
-                            &tiles,
-                            op,
-                            slack,
-                            std::mem::take(&mut population),
-                        );
-                        population = pop;
-                        pool = cands;
-                        st
-                    }
-                    _ => {
-                        let mut st = ExpandStats::default();
-                        for (pi, partial) in population.iter_mut().enumerate() {
-                            st.absorb(expand_partial(
-                                ctx, &deps, &tiles, op, slack, pi, partial, &mut open, &mut pool,
-                            ));
-                        }
-                        st
-                    }
-                };
-                stats.attempts = stats.attempts.saturating_add(round_stats.attempts);
-                stats.candidates += round_stats.candidates;
-                stats.rollbacks += round_stats.rollbacks;
+                for (pi, partial) in population.iter_mut().enumerate() {
+                    let st = expand_partial(
+                        ctx, &deps, &tiles, op, slack, pi, partial, &mut open, &mut pool,
+                    );
+                    stats.attempts = stats.attempts.saturating_add(st.attempts);
+                    stats.candidates += st.candidates;
+                    stats.rollbacks += st.rollbacks;
+                }
                 if !pool.is_empty() {
                     break;
                 }
@@ -786,23 +595,11 @@ impl Mapper {
             stages.materialise += lap(&mut mark);
         }
 
-        // Finalisation: symbol commits + exact feasibility. Each trial
-        // only touches its own partial, so the surviving beam shards the
-        // same way expansion did; verdicts join in partial index order.
+        // Finalisation: symbol commits + exact feasibility, per partial.
         let _finalize_span = cmam_obs::span!("finalize", survivors = population.len() as u64);
-        let (population, verdicts) = match beam {
-            Some(bp) if population.len() > 1 => bp.finalize_round(ctx.reserve, block, population),
-            _ => {
-                let mut flags = Vec::with_capacity(population.len());
-                for p in population.iter_mut() {
-                    flags.push(p.finalize(ctx, block));
-                }
-                (population, flags)
-            }
-        };
         let mut finalized: Vec<Partial> = Vec::new();
-        for (p, ok) in population.into_iter().zip(verdicts) {
-            if ok {
+        for mut p in population {
+            if p.finalize(ctx, block) {
                 finalized.push(p);
             } else {
                 stats.finalize_failures += 1;
@@ -1168,11 +965,11 @@ mod tests {
         bounded: u64,
     }
 
-    /// Maps `cdfg` the way [`Mapper::map`] does on one thread — same
-    /// traversal, slack escalation, filters, seeded pruning and
-    /// finalisation — running every expansion through both generators:
-    /// they must return identical candidates (parent, slot, cost and both
-    /// verdicts) and attempt counts.
+    /// Maps `cdfg` the way [`Mapper::map`] does — same traversal, slack
+    /// escalation, filters, seeded pruning and finalisation — running
+    /// every expansion through both generators: they must return
+    /// identical candidates (parent, slot, cost and both verdicts) and
+    /// attempt counts.
     fn check_generators(
         cdfg: &Cdfg,
         config: &CgraConfig,

@@ -96,14 +96,10 @@ pub struct MapperOptions {
     /// Seed of the stochastic pruning RNG (the flow is deterministic for a
     /// fixed seed).
     pub seed: u64,
-    /// Worker threads for the intra-search beam parallelism (candidate
-    /// expansion and finalisation sharded across the partial-mapping
-    /// population). `0` means *auto*: the `CMAM_THREADS` environment
-    /// variable if set, else 1 (sequential). The mapping produced is
-    /// **bit-identical** for every thread count — see
-    /// [`Mapper::map`](crate::Mapper::map) — so this knob trades wall
-    /// clock only; it is deliberately excluded from the engine's job
-    /// fingerprints.
+    /// Ignored: [`Mapper::map`](crate::Mapper::map) always runs on the
+    /// calling thread, whatever this holds. The field remains only so
+    /// that code which still sets it keeps compiling; it is excluded from
+    /// the engine's job fingerprints and will be removed.
     pub threads: usize,
 }
 
@@ -163,20 +159,6 @@ impl MapperOptions {
             return Err("max_schedule must be at most 65536");
         }
         Ok(())
-    }
-
-    /// Resolves [`threads`](MapperOptions::threads): an explicit value
-    /// wins, `0` falls back to `CMAM_THREADS` (ignored unless it parses
-    /// to a positive integer) and finally to 1.
-    pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            return self.threads;
-        }
-        std::env::var("CMAM_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(1)
     }
 }
 

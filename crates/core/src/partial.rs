@@ -44,7 +44,9 @@
 //!   words) with **incrementally maintained** per-tile instruction
 //!   counts, interior-idle-run counts and first/last occupied cycles, so
 //!   `acmap_words`/`ecmap_words`/`exact_words` are table lookups;
-//! * value copies live in a dense `ValueId`-indexed table (`avail`);
+//! * value copies live in one insertion-ordered arena (`copies`), each
+//!   value's copies linked from its dense `ValueId`-indexed first/last
+//!   slots, so a clone copies three flat buffers;
 //! * RF pressure is a row-major per-`(tile, cycle)` live-copy count
 //!   (`rf_count`) plus a per-tile running peak, updated on every interval
 //!   insertion/extension;
@@ -280,28 +282,31 @@ enum UndoOp {
         /// The tile.
         tile: u32,
     },
-    /// Pop the last copy of `value` from the avail table.
+    /// Pop the last copy of `value` (the arena's last slot).
     PopAvail {
         /// The value.
         value: u32,
+        /// The value's previous last slot.
+        prev: u32,
     },
-    /// Restore the ready cycle of copy `idx` of `value`.
+    /// Restore the ready cycle of the copy in arena slot `slot`.
     AvailReady {
-        /// The value.
-        value: u32,
-        /// Copy index in the value's avail list.
-        idx: u32,
+        /// The arena slot.
+        slot: u32,
         /// Previous ready cycle.
         old: u32,
     },
     /// Drop a fresh copy: pop the last live interval of `tile` (still
-    /// the single cycle it was added with), its RF count and the last
-    /// avail entry of its value, and restore the tile's running peak.
+    /// the single cycle it was added with), its RF count and its value's
+    /// last copy (the arena's last slot), and restore the tile's running
+    /// peak.
     PopCopy {
         /// The tile.
         tile: u32,
         /// Previous running peak.
         peak: u16,
+        /// The value's previous last slot.
+        prev: u32,
     },
     /// Restore the start of interval `idx` of `tile`.
     IntervalStart {
@@ -362,6 +367,38 @@ enum UndoOp {
         /// Index into the placed-ops list.
         idx: u32,
     },
+}
+
+/// End of a value's copy list, or the first/last slot of a value without
+/// copies.
+const NIL: u32 = u32::MAX;
+
+/// One value copy in a [`Partial`]'s arena: the tile whose register file
+/// holds it, the cycle it is readable from, and the arena slot of the
+/// same value's next copy (`NIL` for the last).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct CopySlot {
+    tile: u32,
+    ready: u32,
+    next: u32,
+}
+
+/// The copies of one value as `(tile, ready)`, in insertion order,
+/// following the `next` links from a first slot.
+struct Copies<'a> {
+    arena: &'a [CopySlot],
+    at: u32,
+}
+
+impl Iterator for Copies<'_> {
+    type Item = (TileId, u32);
+
+    fn next(&mut self) -> Option<(TileId, u32)> {
+        // `NIL` indexes past any arena, which ends the list.
+        let c = self.arena.get(self.at as usize)?;
+        self.at = c.next;
+        Some((TileId(c.tile as usize), c.ready))
+    }
 }
 
 /// Per-tile scratch entry of the routing BFS (stamped, so clearing it
@@ -486,10 +523,16 @@ pub struct Partial {
     occ_max: Vec<u32>,
     frontier: usize,
 
-    // --- dense value-copy table ---
-    /// Copies of each value: `(tile, ready_cycle)`, insertion-ordered,
+    // --- value copies: one insertion-ordered arena ---
+    /// Every copy of every value, in insertion order; a value's copies
+    /// are linked through `next`. Copies are only appended and rolled
+    /// back, so the arena holds exactly the live copies.
+    copies: Vec<CopySlot>,
+    /// Arena slot of each value's first copy (`NIL` without copies),
     /// indexed by `ValueId`.
-    avail: Vec<Vec<(TileId, u32)>>,
+    first_copy: Vec<u32>,
+    /// Arena slot of each value's last copy (`NIL` without copies).
+    last_copy: Vec<u32>,
 
     // --- register-file live intervals ---
     /// Live intervals of block-local copies per tile.
@@ -553,7 +596,9 @@ impl Clone for Partial {
             occ_min: self.occ_min.clone(),
             occ_max: self.occ_max.clone(),
             frontier: self.frontier,
-            avail: self.avail.iter().map(|a| clone_with_headroom(a)).collect(),
+            copies: clone_with_headroom(&self.copies),
+            first_copy: self.first_copy.clone(),
+            last_copy: self.last_copy.clone(),
             intervals: self
                 .intervals
                 .iter()
@@ -596,7 +641,9 @@ impl Clone for Partial {
         self.occ_min.clone_from(&src.occ_min);
         self.occ_max.clone_from(&src.occ_max);
         self.frontier = src.frontier;
-        clone_nested(&mut self.avail, &src.avail);
+        self.copies.clone_from(&src.copies);
+        self.first_copy.clone_from(&src.first_copy);
+        self.last_copy.clone_from(&src.last_copy);
         clone_nested(&mut self.intervals, &src.intervals);
         if self.rf_count.len() == src.rf_count.len() {
             let stride = src.max_schedule + 1;
@@ -674,7 +721,9 @@ impl Partial {
             occ_min: vec![0; n],
             occ_max: vec![0; n],
             frontier: 0,
-            avail: vec![Vec::new(); num_values],
+            copies: Vec::new(),
+            first_copy: vec![NIL; num_values],
+            last_copy: vec![NIL; num_values],
             intervals: vec![Vec::new(); n],
             rf_count: vec![0; n * (max_schedule + 1)],
             rf_hi: 0,
@@ -756,17 +805,17 @@ impl Partial {
                 UndoOp::PopCrf { tile } => {
                     self.crf[tile as usize].pop();
                 }
-                UndoOp::PopAvail { value } => {
-                    self.avail[value as usize].pop();
+                UndoOp::PopAvail { value, prev } => {
+                    self.pop_copy(ValueId(value), prev);
                 }
-                UndoOp::AvailReady { value, idx, old } => {
-                    self.avail[value as usize][idx as usize].1 = old;
+                UndoOp::AvailReady { slot, old } => {
+                    self.copies[slot as usize].ready = old;
                 }
-                UndoOp::PopCopy { tile, peak } => {
+                UndoOp::PopCopy { tile, peak, prev } => {
                     let iv = self.intervals[tile as usize].pop().expect("journaled copy");
                     self.rf_count[tile as usize * (self.max_schedule + 1) + iv.start] -= 1;
                     self.rf_peak[tile as usize] = peak;
-                    self.avail[iv.value.0 as usize].pop();
+                    self.pop_copy(iv.value, prev);
                 }
                 UndoOp::IntervalStart { tile, idx, old } => {
                     self.intervals[tile as usize][idx as usize].start = old as usize;
@@ -862,6 +911,53 @@ impl Partial {
     /// Final schedule length; valid after [`finalize`](Partial::finalize).
     pub fn length(&self) -> usize {
         self.length
+    }
+
+    // ------------------------------------------------------------------
+    // Value copies (insertion-ordered arena)
+    // ------------------------------------------------------------------
+
+    /// The copies of `v` as `(tile, ready)`, in insertion order.
+    fn copies_of(&self, v: ValueId) -> Copies<'_> {
+        Copies {
+            arena: &self.copies,
+            at: self.first_copy[v.0 as usize],
+        }
+    }
+
+    /// Appends a copy of `v` on `tile`, readable from `ready`, to the
+    /// arena and to the end of `v`'s list. Not journaled: returns the
+    /// value's previous last slot for the caller's undo record.
+    fn push_copy(&mut self, v: ValueId, tile: TileId, ready: u32) -> u32 {
+        // Every copy but a symbol's home seed is written by an instruction
+        // in a slot of its own, so real arenas stay far below `NIL`.
+        let slot = u32::try_from(self.copies.len())
+            .ok()
+            .filter(|&s| s != NIL)
+            .expect("a partial holds fewer than u32::MAX copies");
+        self.copies.push(CopySlot {
+            tile: tile.0 as u32,
+            ready,
+            next: NIL,
+        });
+        let prev = std::mem::replace(&mut self.last_copy[v.0 as usize], slot);
+        match prev {
+            NIL => self.first_copy[v.0 as usize] = slot,
+            p => self.copies[p as usize].next = slot,
+        }
+        prev
+    }
+
+    /// Undoes the latest [`push_copy`](Partial::push_copy) of value `v`,
+    /// whose copy is the arena's last slot (the journal undoes in reverse
+    /// order), given the previous last slot it returned.
+    fn pop_copy(&mut self, v: ValueId, prev: u32) {
+        self.copies.pop();
+        self.last_copy[v.0 as usize] = prev;
+        match prev {
+            NIL => self.first_copy[v.0 as usize] = NIL,
+            p => self.copies[p as usize].next = NIL,
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1111,9 +1207,9 @@ impl Partial {
     /// `ready - 1` (readable from `ready`). Fails when the RF is full at
     /// that point.
     fn try_add_copy(&mut self, ctx: &MapCtx<'_>, tile: TileId, v: ValueId, ready: usize) -> bool {
-        // Every interval has an avail entry, so a value without copies
-        // (a fresh result) needs no interval scan.
-        let existing = if self.avail[v.0 as usize].is_empty() {
+        // Every interval has a copy in the arena, so a value without
+        // copies (a fresh result) needs no interval scan.
+        let existing = if self.first_copy[v.0 as usize] == NIL {
             None
         } else {
             self.intervals[tile.0].iter().position(|iv| iv.value == v)
@@ -1138,16 +1234,17 @@ impl Partial {
                     to: (old_start - 1) as u32,
                     peak,
                 });
-                if let Some(idx) = self.avail[v.0 as usize]
-                    .iter()
-                    .position(|&(t, _)| t == tile)
-                {
+                let mut slot = self.first_copy[v.0 as usize];
+                while slot != NIL && self.copies[slot as usize].tile != tile.0 as u32 {
+                    slot = self.copies[slot as usize].next;
+                }
+                if slot != NIL {
+                    let copy = &mut self.copies[slot as usize];
                     self.journal.push(UndoOp::AvailReady {
-                        value: v.0,
-                        idx: idx as u32,
-                        old: self.avail[v.0 as usize][idx].1,
+                        slot,
+                        old: copy.ready,
                     });
-                    self.avail[v.0 as usize][idx].1 = ready as u32;
+                    copy.ready = ready as u32;
                 }
             }
             return true;
@@ -1161,10 +1258,11 @@ impl Partial {
             end: ready,
         });
         let peak = self.rf_inc(tile, ready, ready);
-        self.avail[v.0 as usize].push((tile, ready as u32));
+        let prev = self.push_copy(v, tile, ready as u32);
         self.journal.push(UndoOp::PopCopy {
             tile: tile.0 as u32,
             peak,
+            prev,
         });
         true
     }
@@ -1217,7 +1315,7 @@ impl Partial {
     ) -> Option<TileId> {
         let mut cands = std::mem::take(&mut self.read_cands);
         cands.clear();
-        for &(t, ready) in &self.avail[v.0 as usize] {
+        for (t, ready) in self.copies_of(v) {
             if ready as usize <= cycle {
                 let d = ctx.pre.distance(t, tile);
                 if d <= 1 {
@@ -1309,12 +1407,12 @@ impl Partial {
                 Some(h) => h,
                 None => self.pin_home(ctx, s, tile)?,
             };
-            let seeded = self.avail[v.0 as usize].iter().any(|&(t, _)| t == home);
+            let seeded = self.copies_of(v).any(|(t, _)| t == home);
             if !seeded {
                 // The home copy lives in a persistent register, not a
                 // block-local one, so it carries no live interval.
-                self.journal.push(UndoOp::PopAvail { value: v.0 });
-                self.avail[v.0 as usize].push((home, 0));
+                let prev = self.push_copy(v, home, 0);
+                self.journal.push(UndoOp::PopAvail { value: v.0, prev });
             }
         }
         if let Some(src) = self.acquire_read(ctx, v, tile, cycle) {
@@ -1344,7 +1442,7 @@ impl Partial {
         // `r` that is `d` hops away cannot arrive unless
         // `r + max(1, d - 1) <= need`. When no copy can, the BFS below
         // would find nothing either.
-        let in_reach = self.avail[v.0 as usize].iter().any(|&(t, ready)| {
+        let in_reach = self.copies_of(v).any(|(t, ready)| {
             let hops = ctx.pre.distance(t, dest).saturating_sub(1).max(1);
             ready as usize + hops <= need
         });
@@ -1358,8 +1456,13 @@ impl Partial {
         let stamp = self.route_stamp;
         let mut queue = std::mem::take(&mut self.route_queue);
         queue.clear();
-        for i in 0..self.avail[v.0 as usize].len() {
-            let (t, ready) = self.avail[v.0 as usize][i];
+        // Borrows the arena field alone (not `copies_of`'s `&self`), so
+        // the loop may write `route_visited`.
+        let starts = Copies {
+            arena: &self.copies,
+            at: self.first_copy[v.0 as usize],
+        };
+        for (t, ready) in starts {
             if (ready as usize) < need {
                 let vis = &mut self.route_visited[t.0];
                 if vis.stamp != stamp || ready < vis.ready {
@@ -1839,9 +1942,9 @@ impl Partial {
     pub(crate) fn cost_floor(&self, ctx: &MapCtx<'_>, terms: &FloorTerms, tile: TileId) -> usize {
         let mut floor = terms.write_home.map_or(0, |h| ctx.pre.distance(tile, h));
         for &(v, home) in &terms.routed[..terms.len] {
-            let nearest = self.avail[v.0 as usize]
-                .iter()
-                .map(|&(t, _)| t)
+            let nearest = self
+                .copies_of(v)
+                .map(|(t, _)| t)
                 .chain(home)
                 .map(|t| ctx.pre.distance(t, tile))
                 .min()
@@ -1907,17 +2010,27 @@ mod tests {
         )
     }
 
+    /// A context with no words reserved for later blocks.
+    fn test_ctx<'a>(
+        cdfg: &'a Cdfg,
+        config: &'a CgraConfig,
+        options: &'a MapperOptions,
+        pre: &'a MapPre,
+    ) -> MapCtx<'a> {
+        MapCtx {
+            cdfg,
+            config,
+            options,
+            reserve: 0,
+            pre,
+        }
+    }
+
     #[test]
     fn place_and_read_same_tile() {
         let (cdfg, config, options) = ctx_objects();
         let pre = MapPre::new(&config);
-        let ctx = MapCtx {
-            cdfg: &cdfg,
-            config: &config,
-            options: &options,
-            reserve: 0,
-            pre: &pre,
-        };
+        let ctx = test_ctx(&cdfg, &config, &options, &pre);
         let state = FlowState::new(16);
         let mut p = Partial::new(&state, &ctx);
         let ops: Vec<OpId> = cdfg.dfg(cmam_cdfg::BlockId(0)).op_ids().to_vec();
@@ -1934,13 +2047,7 @@ mod tests {
     fn distant_read_inserts_moves() {
         let (cdfg, config, options) = ctx_objects();
         let pre = MapPre::new(&config);
-        let ctx = MapCtx {
-            cdfg: &cdfg,
-            config: &config,
-            options: &options,
-            reserve: 0,
-            pre: &pre,
-        };
+        let ctx = test_ctx(&cdfg, &config, &options, &pre);
         let state = FlowState::new(16);
         let mut p = Partial::new(&state, &ctx);
         let ops: Vec<OpId> = cdfg.dfg(cmam_cdfg::BlockId(0)).op_ids().to_vec();
@@ -1958,13 +2065,7 @@ mod tests {
     fn memory_ops_rejected_on_compute_tiles() {
         let (cdfg, config, options) = ctx_objects();
         let pre = MapPre::new(&config);
-        let ctx = MapCtx {
-            cdfg: &cdfg,
-            config: &config,
-            options: &options,
-            reserve: 0,
-            pre: &pre,
-        };
+        let ctx = test_ctx(&cdfg, &config, &options, &pre);
         let state = FlowState::new(16);
         let mut p = Partial::new(&state, &ctx);
         let ops: Vec<OpId> = cdfg.dfg(cmam_cdfg::BlockId(0)).op_ids().to_vec();
@@ -1975,13 +2076,7 @@ mod tests {
     fn too_early_read_fails_even_with_routing() {
         let (cdfg, config, options) = ctx_objects();
         let pre = MapPre::new(&config);
-        let ctx = MapCtx {
-            cdfg: &cdfg,
-            config: &config,
-            options: &options,
-            reserve: 0,
-            pre: &pre,
-        };
+        let ctx = test_ctx(&cdfg, &config, &options, &pre);
         let state = FlowState::new(16);
         let mut p = Partial::new(&state, &ctx);
         let ops: Vec<OpId> = cdfg.dfg(cmam_cdfg::BlockId(0)).op_ids().to_vec();
@@ -1996,13 +2091,7 @@ mod tests {
     fn words_metrics_track_runs() {
         let (cdfg, config, options) = ctx_objects();
         let pre = MapPre::new(&config);
-        let ctx = MapCtx {
-            cdfg: &cdfg,
-            config: &config,
-            options: &options,
-            reserve: 0,
-            pre: &pre,
-        };
+        let ctx = test_ctx(&cdfg, &config, &options, &pre);
         let state = FlowState::new(16);
         let mut p = Partial::new(&state, &ctx);
         let ops: Vec<OpId> = cdfg.dfg(cmam_cdfg::BlockId(0)).op_ids().to_vec();
@@ -2037,13 +2126,7 @@ mod tests {
         let config = CgraConfig::hom64();
         let options = MapperOptions::basic();
         let pre = MapPre::new(&config);
-        let ctx = MapCtx {
-            cdfg: &cdfg,
-            config: &config,
-            options: &options,
-            reserve: 0,
-            pre: &pre,
-        };
+        let ctx = test_ctx(&cdfg, &config, &options, &pre);
         let state = FlowState::new(16);
         let mut p = Partial::new(&state, &ctx);
         let ops: Vec<OpId> = cdfg.dfg(bb).op_ids().to_vec();
@@ -2073,13 +2156,7 @@ mod tests {
         let config = CgraConfig::hom64();
         let options = MapperOptions::basic();
         let pre = MapPre::new(&config);
-        let ctx = MapCtx {
-            cdfg: &cdfg,
-            config: &config,
-            options: &options,
-            reserve: 0,
-            pre: &pre,
-        };
+        let ctx = test_ctx(&cdfg, &config, &options, &pre);
         let mut state = FlowState::new(16);
         // Pre-pin the home far from where we will place the producer.
         state.homes.insert(s, TileId(0));
@@ -2105,13 +2182,7 @@ mod tests {
     fn ecmap_is_lower_bound_of_final_words() {
         let (cdfg, config, options) = ctx_objects();
         let pre = MapPre::new(&config);
-        let ctx = MapCtx {
-            cdfg: &cdfg,
-            config: &config,
-            options: &options,
-            reserve: 0,
-            pre: &pre,
-        };
+        let ctx = test_ctx(&cdfg, &config, &options, &pre);
         let state = FlowState::new(16);
         let mut p = Partial::new(&state, &ctx);
         let ops: Vec<OpId> = cdfg.dfg(cmam_cdfg::BlockId(0)).op_ids().to_vec();
@@ -2130,8 +2201,32 @@ mod tests {
         }
     }
 
+    /// Checks the arena's links: each value's list runs from its first
+    /// to its last slot in ascending (insertion) order, a value without
+    /// copies has `NIL` for both, and the lists cover every arena slot
+    /// exactly once.
+    fn assert_arena_links(p: &Partial) {
+        let mut seen = vec![false; p.copies.len()];
+        for v in 0..p.first_copy.len() {
+            let (mut at, mut last) = (p.first_copy[v], NIL);
+            while at != NIL {
+                assert!(
+                    last == NIL || at > last,
+                    "value {v}: slot {at} after {last}"
+                );
+                assert!(!std::mem::replace(&mut seen[at as usize], true));
+                last = at;
+                at = p.copies[at as usize].next;
+            }
+            assert_eq!(p.last_copy[v], last, "last slot of value {v}");
+        }
+        assert!(seen.iter().all(|&s| s), "an arena slot is in no list");
+    }
+
     /// Compares every semantic field (everything but journal/scratch).
     fn assert_semantically_equal(a: &Partial, b: &Partial) {
+        assert_arena_links(a);
+        assert_arena_links(b);
         assert_eq!(a.ops, b.ops);
         assert_eq!(a.moves, b.moves);
         assert_eq!(a.occ_bits, b.occ_bits);
@@ -2140,7 +2235,14 @@ mod tests {
         assert_eq!(a.occ_min, b.occ_min);
         assert_eq!(a.occ_max, b.occ_max);
         assert_eq!(a.frontier, b.frontier);
-        assert_eq!(a.avail, b.avail);
+        assert_eq!(a.first_copy.len(), b.first_copy.len());
+        for v in (0..a.first_copy.len() as u32).map(ValueId) {
+            assert_eq!(
+                a.copies_of(v).collect::<Vec<_>>(),
+                b.copies_of(v).collect::<Vec<_>>(),
+                "copies of {v:?}"
+            );
+        }
         assert_eq!(a.intervals, b.intervals);
         assert_eq!(a.rf_count, b.rf_count);
         assert_eq!(a.rf_peak, b.rf_peak);
@@ -2156,13 +2258,7 @@ mod tests {
     fn rollback_restores_the_exact_pre_trial_state() {
         let (cdfg, config, options) = ctx_objects();
         let pre = MapPre::new(&config);
-        let ctx = MapCtx {
-            cdfg: &cdfg,
-            config: &config,
-            options: &options,
-            reserve: 0,
-            pre: &pre,
-        };
+        let ctx = test_ctx(&cdfg, &config, &options, &pre);
         let state = FlowState::new(16);
         let mut p = Partial::new(&state, &ctx);
         let ops: Vec<OpId> = cdfg.dfg(cmam_cdfg::BlockId(0)).op_ids().to_vec();
@@ -2191,6 +2287,105 @@ mod tests {
     }
 
     #[test]
+    fn a_rolled_back_trial_undoes_every_kind_of_copy_record() {
+        // `y = select(i, x, k)` on tile 10 at cycle 5: the unpinned symbol
+        // `i` gets a home and a seeded copy there (`PopAvail`); the load
+        // result `x` sits on tile 0, four hops away, so it is routed
+        // (`PopCopy` per move); `k = 3 + 5` is already on tile 10 but only
+        // from cycle 7, too late, so a duplicate is recomputed there at
+        // cycle 0, widening k's interval on tile 10 (`AvailReady`).
+        // `try_place_op` checks no dependencies, which lets the test put
+        // k's original after its reader.
+        let mut b = CdfgBuilder::new("copies");
+        let bb = b.block("b");
+        let s = b.symbol("i");
+        b.select(bb);
+        let a0 = b.constant(0);
+        let x = b.load_name(a0, "m");
+        let c3 = b.constant(3);
+        let c5 = b.constant(5);
+        let k = b.op(Opcode::Add, &[c3, c5]);
+        let iv = b.use_symbol(s);
+        let y = b.op(Opcode::Select, &[iv, x, k]);
+        let a1 = b.constant(1);
+        b.store(a1, y, "m");
+        b.ret();
+        let cdfg = b.finish().unwrap();
+        let (config, options) = (CgraConfig::hom64(), MapperOptions::basic());
+        let pre = MapPre::new(&config);
+        let ctx = test_ctx(&cdfg, &config, &options, &pre);
+        let ops: Vec<OpId> = cdfg.dfg(bb).op_ids().to_vec();
+        let mut p = Partial::new(&FlowState::new(16), &ctx);
+        assert!(p.try_place_op(&ctx, ops[0], TileId(0), 0)); // x
+        assert!(p.try_place_op(&ctx, ops[1], TileId(10), 6)); // k
+        p.clear_journal();
+        let snapshot = p.clone();
+
+        let cp = p.checkpoint();
+        assert!(p.try_place_op(&ctx, ops[2], TileId(10), 5));
+        let hits = |kind: fn(&UndoOp) -> bool| p.journal[cp..].iter().filter(|e| kind(e)).count();
+        assert_eq!(hits(|e| matches!(e, UndoOp::PopAvail { .. })), 1);
+        assert!(
+            hits(|e| matches!(e, UndoOp::PopCopy { .. })) >= 3,
+            "a routed chain"
+        );
+        assert_eq!(hits(|e| matches!(e, UndoOp::AvailReady { .. })), 1);
+        assert_eq!(p.home_of(s), Some(TileId(10)));
+        let k_copies: Vec<_> = p.copies_of(k).collect();
+        assert_eq!(k_copies, [(TileId(10), 1)], "k widened in place");
+        p.rollback(cp);
+        assert_semantically_equal(&p, &snapshot);
+        assert_eq!(p.copies.len(), snapshot.copies.len());
+
+        // A different trial reuses the rolled-back arena slots for other
+        // values' copies, so a link the rollback left dangling would now
+        // splice them into x's or k's list.
+        let mut untouched = snapshot.clone();
+        for q in [&mut p, &mut untouched] {
+            assert!(q.try_place_op(&ctx, ops[2], TileId(1), 7));
+        }
+        assert_semantically_equal(&p, &untouched);
+    }
+
+    #[test]
+    fn clone_from_a_larger_recycled_partial_equals_a_fresh_clone() {
+        let (cdfg, config, options) = ctx_objects();
+        let pre = MapPre::new(&config);
+        let ctx = test_ctx(&cdfg, &config, &options, &pre);
+        let ops: Vec<OpId> = cdfg.dfg(cmam_cdfg::BlockId(0)).op_ids().to_vec();
+        let state = FlowState::new(16);
+        // The source: the load alone. The recycled partial: the whole
+        // block, with a routed add, so it holds more ops, copies and
+        // intervals and RF counts at higher cycles.
+        let mut src = Partial::new(&state, &ctx);
+        assert!(src.try_place_op(&ctx, ops[0], TileId(0), 0));
+        src.clear_journal();
+        let mut recycled = Partial::new(&state, &ctx);
+        assert!(recycled.try_place_op(&ctx, ops[0], TileId(0), 0));
+        assert!(recycled.try_place_op(&ctx, ops[1], TileId(10), 4));
+        assert!(recycled.try_place_op(&ctx, ops[2], TileId(6), 6));
+        let intervals = |p: &Partial| p.intervals.iter().map(Vec::len).sum::<usize>();
+        assert!(recycled.ops.len() > src.ops.len());
+        assert!(recycled.copies.len() > src.copies.len());
+        assert!(intervals(&recycled) > intervals(&src));
+        assert!(recycled.rf_hi > src.rf_hi);
+
+        recycled.clone_from(&src);
+        let mut fresh = src.clone();
+        assert_semantically_equal(&recycled, &fresh);
+        // The same next trial: a routed read of the load's result.
+        for p in [&mut recycled, &mut fresh] {
+            assert!(p.try_place_op(&ctx, ops[1], TileId(10), 4));
+        }
+        assert_semantically_equal(&recycled, &fresh);
+        for p in [&mut recycled, &mut fresh] {
+            assert!(p.try_place_op(&ctx, ops[2], TileId(6), 6));
+            assert!(p.finalize(&ctx, cmam_cdfg::BlockId(0)));
+        }
+        assert_eq!(recycled.into_block_mapping(), fresh.into_block_mapping());
+    }
+
+    #[test]
     fn a_full_idle_tile_fails_ecmap_once_the_block_starts() {
         // Tile 5 is idle in this block but its context memory is already
         // full: at frontier 0 it passes ECMAP, and any placement elsewhere
@@ -2199,13 +2394,7 @@ mod tests {
         let config = CgraConfig::builder(4, 4).uniform_cm(16).build().unwrap();
         let options = MapperOptions::context_aware();
         let pre = MapPre::new(&config);
-        let ctx = MapCtx {
-            cdfg: &cdfg,
-            config: &config,
-            options: &options,
-            reserve: 0,
-            pre: &pre,
-        };
+        let ctx = test_ctx(&cdfg, &config, &options, &pre);
         let mut state = FlowState::new(16);
         state.base_words[5] = 16;
         let mut p = Partial::new(&state, &ctx);
@@ -2221,13 +2410,7 @@ mod tests {
     fn incremental_run_counters_match_a_rescan() {
         let (cdfg, config, options) = ctx_objects();
         let pre = MapPre::new(&config);
-        let ctx = MapCtx {
-            cdfg: &cdfg,
-            config: &config,
-            options: &options,
-            reserve: 0,
-            pre: &pre,
-        };
+        let ctx = test_ctx(&cdfg, &config, &options, &pre);
         let state = FlowState::new(16);
         let mut p = Partial::new(&state, &ctx);
         // Occupy a scattered pattern on one tile and check the counters

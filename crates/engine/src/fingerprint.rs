@@ -179,11 +179,8 @@ impl Fingerprint for MapperOptions {
         h.feed_usize(self.slack);
         h.feed_usize(self.max_schedule);
         h.feed_u64(self.seed);
-        // `threads` is deliberately NOT hashed: the mapper's beam
-        // parallelism is bit-identical for every thread count, so jobs
-        // differing only in their thread count are the same job — a
-        // sequential artifact must answer a parallel request and vice
-        // versa.
+        // `threads` is deliberately NOT hashed: the mapper ignores it,
+        // so jobs differing only in it are the same job.
     }
 }
 

@@ -18,15 +18,12 @@
 //!   near-free.
 //!
 //! Batches execute on the process-wide persistent [`cmam_pool`], one job
-//! per worker. Each job maps with the thread count its
-//! [`MapperOptions::threads`] asks for (`0`: `CMAM_THREADS`, else one;
-//! see [`MapperOptions::effective_threads`]).
+//! per worker; each job maps on the worker thread that runs it.
 //!
-//! Mapping is a pure seeded function — for any thread count, across or
-//! inside jobs — so a parallel run is bit-identical to a sequential one;
-//! the engine's tests assert this over the full smoke sweep. Experiment
-//! binaries therefore accept `--jobs N` and `--no-cache` without any
-//! change in output.
+//! Mapping is a pure seeded function, so a parallel run is bit-identical
+//! to a sequential one; the engine's tests assert this over the full
+//! smoke sweep. Experiment binaries therefore accept `--jobs N` and
+//! `--no-cache` without any change in output.
 //!
 //! ## Failure model
 //!

@@ -16,9 +16,8 @@
 //!   spans recorded into per-thread ring buffers and exported as Chrome
 //!   `chrome://tracing` / Perfetto JSON. Threads are identified by
 //!   registration order and labeled (the [`cmam_pool`] workers label
-//!   themselves `cmam-pool-N`), so a trace shows the engine's job-level
-//!   parallelism and the mapper's beam sharding on separate tracks.
-//!   Enable with `CMAM_TRACE=1`, programmatically via
+//!   themselves `cmam-pool-N`), so a trace shows the engine's jobs on
+//!   separate tracks. Enable with `CMAM_TRACE=1`, programmatically via
 //!   [`enable_tracing`], or with the `--trace-out FILE` flag every
 //!   experiment binary understands.
 //!

@@ -13,11 +13,12 @@
 //!
 //! ## Determinism
 //!
-//! Counter totals mirror the underlying statistics, which the toolchain
-//! keeps bit-identical across thread counts — so `mapper.*`, `engine.*`
-//! and `sim.*` totals are equal for `CMAM_THREADS=1` and `=4` on the
-//! same work. The documented exceptions are scheduling-dependent by
-//! nature: `pool.*` (who stole how many chunks) and the `phase.*` /
+//! Counter totals mirror the underlying statistics, which are pure
+//! functions of the work done, not of how many jobs ran at once — so
+//! `mapper.*`, `engine.*` and `sim.*` totals are equal for `--jobs 1`
+//! and `--jobs 4` on the same work. The documented exceptions are
+//! scheduling-dependent or timed by nature: `pool.*` (who stole how many
+//! chunks), the `mapper.stage_ns.*` stage timers and the `phase.*` /
 //! `batch.*` latency histograms (wall-clock). [`metrics_json`] renders
 //! names sorted, so two deterministic runs produce byte-identical
 //! documents modulo those families.

@@ -1,11 +1,9 @@
 //! # cmam-pool — the shared persistent work-stealing thread pool
 //!
-//! One process-wide pool serves every parallel consumer of the toolchain:
-//! the engine's batch compilation jobs (whole map→assemble→simulate
-//! pipelines, milliseconds each) and the mapper's intra-search beam
-//! expansion (per-partial candidate generation, tens of microseconds
-//! each). Extracting the pool into its own crate lets `cmam_core` use it
-//! without inverting the `engine → core` dependency edge.
+//! One process-wide pool serves the toolchain's parallel work: the
+//! engine's batch compilation jobs (whole map→assemble→simulate
+//! pipelines, milliseconds each). A map itself runs on one thread,
+//! inside whichever job runs it.
 //!
 //! ## Execution model
 //!
@@ -17,24 +15,22 @@
 //! participates: it drains chunks like any worker and then waits for the
 //! stragglers, so a batch completes even when every helper is busy with
 //! other batches (including the nested case, where a pool worker running
-//! an engine job submits the mapper's beam batches from inside that job).
+//! one job submits a batch of its own).
 //!
 //! Workers are **persistent and lazily spawned**: the first batch that
 //! wants `k` helpers spawns them, later batches reuse them, and the
-//! threads idle on a condvar between batches. Compared to the previous
-//! per-call `std::thread::scope` pool this removes thread creation and
-//! teardown from every batch — which matters once batches arrive at the
-//! mapper's per-operation rate rather than the engine's per-sweep rate.
+//! threads idle on a condvar between batches, so no batch pays for
+//! thread creation or teardown.
 //!
 //! ## Determinism
 //!
 //! Results are returned in index order, so parallel execution is
 //! observationally identical to sequential execution whenever the job
 //! function itself is pure — the property the engine's determinism tests
-//! and the mapper's golden-equivalence suite both pin down. With
-//! `threads <= 1` (or fewer than two jobs) everything runs inline on the
-//! calling thread without touching the pool at all: the degenerate case
-//! the equivalence tests compare the parallel pool against.
+//! pin down. With `threads <= 1` (or fewer than two jobs) everything runs
+//! inline on the calling thread without touching the pool at all: the
+//! degenerate case the equivalence tests compare the parallel pool
+//! against.
 //!
 //! ## Panic isolation
 //!
@@ -392,10 +388,9 @@ fn worker_loop(inner: &Inner, worker_id: usize) {
     }
 }
 
-/// The process-wide pool every toolchain consumer shares. Sharing one
-/// pool is what lets the engine's job-level parallelism and the mapper's
-/// intra-search parallelism compose: both draw helpers from the same
-/// worker set instead of oversubscribing the machine with private pools.
+/// The process-wide pool every toolchain consumer shares, so nested or
+/// concurrent batches draw helpers from one worker set instead of
+/// oversubscribing the machine with private pools.
 pub fn global() -> &'static ThreadPool {
     static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
     GLOBAL.get_or_init(ThreadPool::new)
@@ -482,8 +477,8 @@ mod tests {
     #[test]
     fn nested_batches_complete() {
         // An outer batch whose jobs each submit an inner batch on the same
-        // (global) pool — the engine-job → mapper-beam nesting. Must not
-        // deadlock even when every worker is busy with outer jobs.
+        // (global) pool. Must not deadlock even when every worker is busy
+        // with outer jobs.
         let out = run_indexed(4, 4, |i| {
             let inner = run_indexed(6, 4, move |j| i * 10 + j);
             inner.iter().sum::<usize>()

@@ -12,11 +12,10 @@
 //!   separable/non-separable filters, FFT, DC filter);
 //! * [`isa`] — instruction encoding, mapping model, assembler with pnop
 //!   compression;
-//! * [`pool`] — the shared persistent thread pool (beam parallelism and
-//!   engine batches draw from the same workers);
+//! * [`pool`] — the shared persistent thread pool the engine's batches
+//!   run on;
 //! * [`core`] — the paper's contribution: the basic mapping flow and the
-//!   context-memory aware flow (weighted traversal + ACMAP + ECMAP + CAB),
-//!   with deterministic beam-parallel candidate expansion;
+//!   context-memory aware flow (weighted traversal + ACMAP + ECMAP + CAB);
 //! * [`sim`] — cycle-level CGRA simulator;
 //! * [`cpu`] — or1k-like scalar CPU baseline;
 //! * [`energy`] — area and energy models (Fig 11, Table II);
