@@ -13,8 +13,9 @@
 //! Flags: `--lanes N` (default 256), `--input-seed S` (input-set seed,
 //! decimal or `0x…` hex, default [`cmam_bench::BATCH_SEED`]), `--verify`
 //! (cross-check every lane's final memory against the sequential CDFG
-//! interpreter and the batched outcome against the engine's batch-sim
-//! job kind), `--generated N [--seed S] [--profile P]` (widen the kernel
+//! interpreter, and every lane's statistics or error in the engine's
+//! batch-sim job kind against the direct run), `--generated N [--seed S]
+//! [--profile P]` (widen the kernel
 //! mix), plus the flags every binary shares (see [`cmam_bench::cli`]).
 
 use cmam_bench::cli::Kind::{Positive, Seed, Switch};
@@ -148,15 +149,25 @@ fn main() {
                     spec.name
                 );
             }
-            // And the engine's batch-sim job kind must agree with the
-            // direct run, cached or not.
+            // And the engine's batch-sim job kind (its lanes cut into
+            // chunks) must agree with the direct run lane by lane, cached
+            // or not.
             let outcome = engine().run_batch_sim(&req).expect("compiles above");
             assert_eq!(
-                outcome.agg_cycles, agg,
-                "{}: engine batch-sim job disagrees with direct sweep",
+                outcome.lanes.len(),
+                lanes,
+                "{}: engine lane count",
                 spec.name
             );
-            assert_eq!(outcome.ok_lanes(), ok);
+            for (l, (engine_lane, direct)) in outcome.lanes.iter().zip(&results).enumerate() {
+                assert_eq!(
+                    engine_lane,
+                    &direct.clone().map_err(|e| e.to_string()),
+                    "{} lane {l}: engine batch-sim job disagrees with the direct sweep",
+                    spec.name
+                );
+            }
+            assert_eq!(outcome.agg_cycles, agg);
         }
 
         rows.push(vec![

@@ -237,20 +237,27 @@ pub struct GeneratedKernel {
 /// Private splitmix64 stream: dependency-free, stable across platforms.
 struct Rng(u64);
 
+/// splitmix64's state increment.
+const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// splitmix64's output function of a state.
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 impl Rng {
     fn new(seed: u64) -> Self {
         // Pre-mix so seed 0 and seed 1 diverge immediately.
-        let mut r = Rng(seed ^ 0x9e37_79b9_7f4a_7c15);
+        let mut r = Rng(seed ^ GAMMA);
         r.next();
         r
     }
 
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        self.0 = self.0.wrapping_add(GAMMA);
+        mix(self.0)
     }
 
     /// Uniform in `0..n` (`n > 0`).
@@ -269,17 +276,100 @@ impl Rng {
     }
 }
 
+/// `a % d` for a divisor fixed across many numerators, without a
+/// hardware divide (Granlund and Montgomery, "Division by invariant
+/// integers using multiplication", 1994, in libdivide's unsigned 64-bit
+/// form): the quotient is the high half of `a` times a magic, shifted,
+/// and the remainder `a − q·d`. With `s = ⌊log₂ d⌋`, the round-up magic
+/// `⌊2^(64+s) / d⌋ + 1` is exact for every 64-bit numerator when its
+/// error `d − (2^(64+s) mod d)` is below `2^s`; otherwise the magic takes
+/// one more bit, kept implicit by the `add` step. That is one wide and
+/// one narrow multiply per word; Lemire, Kaser and Kurz's 128-bit direct
+/// remainder takes four and lost to the hardware divide on small images.
+struct FastMod {
+    /// Low 64 bits of the magic; 0 for a power of two, which only shifts.
+    magic: u64,
+    shift: u32,
+    /// Whether the magic has the implicit 65th bit.
+    add: bool,
+    d: u64,
+}
+
+impl FastMod {
+    /// The magic for divisor `d > 0`.
+    fn new(d: u64) -> Self {
+        let shift = d.ilog2();
+        if d.is_power_of_two() {
+            return FastMod {
+                magic: 0,
+                shift,
+                add: false,
+                d,
+            };
+        }
+        // `d > 2^s`, so the quotient fits 64 bits and is below 2^64 − 1.
+        let power = 1u128 << (64 + shift);
+        let m = (power / u128::from(d)) as u64;
+        let rem = (power % u128::from(d)) as u64;
+        if d - rem < 1 << shift {
+            return FastMod {
+                magic: m + 1,
+                shift,
+                add: false,
+                d,
+            };
+        }
+        // ⌊2^(65+s) / d⌋ from the quotient and remainder above, wrapped
+        // past 2^64.
+        let twice = rem.wrapping_add(rem);
+        let m = m
+            .wrapping_add(m)
+            .wrapping_add(u64::from(twice >= d || twice < rem));
+        FastMod {
+            magic: m.wrapping_add(1),
+            shift,
+            add: true,
+            d,
+        }
+    }
+
+    /// `a % d`.
+    fn rem(&self, a: u64) -> u64 {
+        let q = if self.magic == 0 {
+            a >> self.shift
+        } else {
+            let high = ((u128::from(self.magic) * u128::from(a)) >> 64) as u64;
+            if self.add {
+                (((a - high) >> 1) + high) >> self.shift
+            } else {
+                high >> self.shift
+            }
+        };
+        a - q * self.d
+    }
+}
+
 /// A deterministic input memory image for lane `lane` of an input sweep:
 /// `len` words uniform in `-range..=range`, from the same splitmix64
 /// stream family as [`generate`] (platform-stable, dependency-free).
 /// `(seed, lane)` fully determines the image, so sweeps, benches and
 /// property tests can all regenerate the exact same inputs from two
-/// integers.
+/// integers. Word `k` is the draw `Rng::imm` would make `k`-th,
+/// computed from its index (splitmix64's state advances by a constant,
+/// so no word waits on the one before), with the remainder by
+/// `2·range + 1` strength-reduced (`FastMod`).
 pub fn input_image(seed: u64, lane: u64, len: usize, range: i32) -> Vec<i32> {
     // Mix the lane into the seed with an odd multiplier so consecutive
     // lanes land on unrelated streams.
-    let mut rng = Rng::new(seed ^ lane.wrapping_mul(0xa076_1d64_78bd_642f));
-    (0..len).map(|_| rng.imm(range)).collect()
+    let rng = Rng::new(seed ^ lane.wrapping_mul(0xa076_1d64_78bd_642f));
+    let first = rng.0.wrapping_add(GAMMA);
+    let span = FastMod::new(2 * range as u64 + 1);
+    (0..len as u64)
+        .map(|k| {
+            let draw = mix(first.wrapping_add(k.wrapping_mul(GAMMA)));
+            (span.rem(draw) as i64 - range as i64) as i32
+        })
+        .collect()
 }
 
 /// The weighted ALU-op mix (repetition = weight): arithmetic-heavy like
@@ -686,5 +776,37 @@ mod tests {
         let g = generate(&p, 3);
         let mut mem = g.mem.clone();
         interp::run(&g.cdfg, &mut mem, 1_000_000).expect("terminates");
+    }
+
+    #[test]
+    fn fast_remainder_equals_the_hardware_remainder() {
+        let mut rng = Rng::new(0xfa57);
+        let seeded: Vec<u64> = (0..10_000).map(|_| rng.next()).collect();
+        // `input_image` divides by 2·range + 1: 2³¹ − 1 at range 2³⁰ − 1
+        // and 2³² − 1 at `i32::MAX`. The last divisors span 64 bits.
+        let extremes = [
+            (1 << 31) - 1,
+            u64::from(u32::MAX),
+            1 << 63,
+            (1 << 63) + 1,
+            u64::MAX,
+        ];
+        for d in (1..=4096).chain(extremes) {
+            let fast = FastMod::new(d);
+            for a in seeded.iter().copied().chain([0, d - 1, d, u64::MAX]) {
+                assert_eq!(fast.rem(a), a % d, "{a} % {d}");
+            }
+        }
+    }
+
+    #[test]
+    fn input_images_equal_the_remainder_draws() {
+        for range in [0, 1, 64, i32::MAX] {
+            for (seed, lane) in [(0, 0), (7, 3), (u64::MAX, 255u64)] {
+                let mut rng = Rng::new(seed ^ lane.wrapping_mul(0xa076_1d64_78bd_642f));
+                let want: Vec<i32> = (0..300).map(|_| rng.imm(range)).collect();
+                assert_eq!(input_image(seed, lane, 300, range), want, "range {range}");
+            }
+        }
     }
 }

@@ -169,11 +169,13 @@ const MEMO_SHARDS: usize = 16;
 /// One memo-table entry: a job's result plus, once a sweep has needed
 /// it, the decoded program of its binary and that first decode's wall
 /// time. Entries are shared (`Arc`), so a sweep borrows the compiled
-/// outcome instead of deep-cloning it, and decodes it once per engine.
+/// outcome instead of deep-cloning it, and decodes it once per engine;
+/// the decoded program is shared too, with the workers that simulate
+/// the sweep's lane chunks.
 #[derive(Debug)]
 struct Memo {
     result: JobResult,
-    decoded: OnceLock<(DecodedProgram, Duration)>,
+    decoded: OnceLock<(Arc<DecodedProgram>, Duration)>,
 }
 
 impl Memo {
@@ -411,15 +413,31 @@ impl Engine {
     /// the same cache directory, keyed by a fingerprint that covers the
     /// digest of every generated input image.
     ///
+    /// The lanes run in fixed chunks (`batch_sim::LaneChunks`: the lane
+    /// count alone sets them) on the engine's workers, in two halves per
+    /// chunk: before the memo lookup each chunk generates its images and
+    /// their digests, and on a miss each chunk simulates its images. The
+    /// chunks' results are joined in lane order, so the outcome and its
+    /// key are those of one batch over every lane, at any worker count.
+    ///
     /// # Errors
     ///
-    /// The compile pipeline's [`RunFailure`] (no mapping, does not fit).
-    /// Per-lane simulation errors are data, carried inside the outcome.
+    /// The compile pipeline's [`RunFailure`] (no mapping, does not fit),
+    /// or a [`FailStage::Panic`] failure if image generation, the decoder
+    /// or the batched simulator panicked. Per-lane simulation errors are
+    /// data, carried inside the outcome.
     pub fn run_batch_sim(&self, request: &BatchSimRequest<'_>) -> BatchSimResult {
         let _span = cmam_obs::span!("batch_sim", lanes = request.lanes as u64);
         cmam_obs::counter!("engine.batch_sim.submitted").add(1);
-        let images = request.images();
-        let key = request.key_for(&images);
+        let chunks = batch_sim::LaneChunks::new(request.lanes);
+        let (mem_len, input_seed) = (request.spec.mem.len(), request.input_seed);
+        let (images, digests): (Vec<_>, Vec<_>) = self
+            .run_chunks(chunks.count, move |c| {
+                batch_sim::chunk_inputs(mem_len, input_seed, chunks.get(c))
+            })?
+            .into_iter()
+            .unzip();
+        let key = request.key_of_digests(&digests.concat());
         if let Some(hit) = lock_recover(&self.batch_memo).get(&key) {
             cmam_obs::counter!("engine.batch_sim.memory_hits").add(1);
             return Ok(hit.clone());
@@ -435,24 +453,54 @@ impl Engine {
             .expect("one request yields one result");
         let compiled = memo.result.as_ref().map_err(Clone::clone)?;
         // Same quarantine discipline as per-job execution: a panic in
-        // the decoder or the batched simulator becomes a structured
+        // the decoder or in any chunk's simulation becomes a structured
         // failure, not an unwound sweep (a panicking decode leaves the
         // entry undecoded, so the next sweep tries again).
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let (decoded, decode_time) = memo
-                .decoded
-                .get_or_init(|| batch_sim::decode(compiled, request.config));
-            batch_sim::execute_batch_sim(request, decoded, *decode_time, images)
-        }))
-        .map_err(|payload| {
-            lock_recover(&self.stats).quarantined += 1;
-            cmam_obs::counter!("engine.quarantined").add(1);
-            JobFailure::panicked(cmam_pool::panic_message(payload.as_ref()), 1)
+        let (decoded, decode_time) = std::panic::catch_unwind(|| {
+            memo.decoded.get_or_init(|| {
+                let (decoded, decode_time) = batch_sim::decode(compiled, request.config);
+                (Arc::new(decoded), decode_time)
+            })
+        })
+        .map_err(|payload| self.quarantine(cmam_pool::panic_message(payload.as_ref())))?;
+        let decoded = Arc::clone(decoded);
+        let images = Arc::new(Mutex::new(images));
+        let sim = request.sim;
+        let t0 = std::time::Instant::now();
+        let simulated = self.run_chunks(chunks.count, move |c| {
+            let chunk_images = std::mem::take(&mut lock_recover(&images)[c]);
+            batch_sim::simulate_chunk(&decoded, chunk_images, sim)
         })?;
+        let sim_time = t0.elapsed();
+        cmam_obs::histogram!("phase.batch_sim_us").record(sim_time.as_micros() as u64);
+        let outcome = batch_sim::join_chunks(simulated, *decode_time, sim_time);
         cmam_obs::counter!("engine.batch_sim.executed").add(1);
         self.disk.store_batch(key, &outcome);
         lock_recover(&self.batch_memo).insert(key, outcome.clone());
         Ok(outcome)
+    }
+
+    /// Runs `job` once per sweep chunk on the engine's workers (inline
+    /// for one chunk or one worker), results in chunk order. A panic in
+    /// any chunk quarantines the sweep: one [`FailStage::Panic`] failure
+    /// and one `quarantined` count, however many chunks died.
+    fn run_chunks<T, F>(&self, chunks: usize, job: F) -> Result<Vec<T>, JobFailure>
+    where
+        T: Send + 'static,
+        F: Fn(usize) -> T + Send + Sync + 'static,
+    {
+        cmam_pool::global()
+            .try_run_indexed(chunks, self.workers(), job)
+            .into_iter()
+            .collect::<Result<_, _>>()
+            .map_err(|p| self.quarantine(p.message().to_owned()))
+    }
+
+    /// Counts one quarantined sweep and renders its failure.
+    fn quarantine(&self, message: String) -> JobFailure {
+        lock_recover(&self.stats).quarantined += 1;
+        cmam_obs::counter!("engine.quarantined").add(1);
+        JobFailure::panicked(message, 1)
     }
 }
 
@@ -504,5 +552,28 @@ mod tests {
         assert_eq!(first.content_digest(), second.content_digest());
         // Memoised results even preserve the measured compile time.
         assert_eq!(first.compile_time, second.compile_time);
+    }
+
+    #[test]
+    fn panicking_sweep_chunks_quarantine_the_sweep_once() {
+        for jobs in [1, 2] {
+            let engine = Engine::new(EngineOptions {
+                jobs,
+                cache_dir: None,
+                cache_bytes: None,
+            });
+            let failure = engine
+                .run_chunks(3, |c| {
+                    assert!(c == 0, "chunk {c} died");
+                    c
+                })
+                .expect_err("two chunks panicked");
+            assert_eq!(failure.stage, FailStage::Panic);
+            assert_eq!(failure.message, "chunk 1 died", "the lowest chunk's panic");
+            assert_eq!(engine.stats().quarantined, 1, "jobs {jobs}");
+            let doubled = engine.run_chunks(3, |c| 2 * c).expect("no chunk panicked");
+            assert_eq!(doubled, [0, 2, 4], "chunk order");
+            assert_eq!(engine.stats().quarantined, 1);
+        }
     }
 }

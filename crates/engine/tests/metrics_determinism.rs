@@ -1,7 +1,8 @@
 //! The metrics layer's determinism contract: for the semantic counter
 //! namespaces (`mapper.*`, `sim.*`, `engine.*`), the counter deltas of a
-//! batch are a pure function of the submitted jobs — the engine worker
-//! count must not leak into them. The scheduling-shaped namespaces
+//! batch, and of an input sweep cut into lane chunks, are a pure function
+//! of the submitted jobs — the engine worker count must not leak into
+//! them. The scheduling-shaped namespaces
 //! (`pool.*`, the `phase.*`/`batch.*` latency histograms and
 //! `obs.warnings`) are documented as nondeterministic and excluded, and
 //! so are the mapper's `mapper.stage_ns.*` stage timers: they count
@@ -11,7 +12,8 @@
 //! is process-global, so a sibling test feeding counters concurrently
 //! would corrupt the deltas.
 
-use cmam_engine::{Engine, EngineOptions, JobRequest};
+use cmam_core::FlowVariant;
+use cmam_engine::{BatchSimRequest, Engine, EngineOptions, JobRequest};
 use std::collections::BTreeMap;
 
 /// Counters in the namespaces whose totals are promised deterministic.
@@ -45,6 +47,9 @@ fn counter_deltas_are_identical_across_worker_counts() {
         .iter()
         .flat_map(|s| matrix.iter().map(move |(v, c)| JobRequest::flow(s, *v, c)))
         .collect();
+    // 300 lanes run as two chunks of 150, on up to two workers.
+    let config = cmam_arch::CgraConfig::het1();
+    let sweep = BatchSimRequest::flow(&specs[0], FlowVariant::Cab, &config, 7, 300);
 
     // Fresh engines, no disk cache: both runs execute every job, so the
     // deltas measure the full pipeline and not a cache short-circuit.
@@ -55,6 +60,7 @@ fn counter_deltas_are_identical_across_worker_counts() {
             cache_bytes: None,
         });
         engine.run_batch(&requests);
+        engine.run_batch_sim(&sweep).expect("FIR maps on HET1");
     });
     let parallel = counter_delta(|| {
         let engine = Engine::new(EngineOptions {
@@ -63,6 +69,7 @@ fn counter_deltas_are_identical_across_worker_counts() {
             cache_bytes: None,
         });
         engine.run_batch(&requests);
+        engine.run_batch_sim(&sweep).expect("FIR maps on HET1");
     });
 
     assert!(
@@ -72,6 +79,11 @@ fn counter_deltas_are_identical_across_worker_counts() {
     assert!(
         sequential.get("mapper.maps").copied().unwrap_or(0) > 0,
         "mapper counters were supposed to be fed: {sequential:?}"
+    );
+    assert_eq!(
+        sequential.get("sim.batch.calls").copied(),
+        Some(2),
+        "the sweep was supposed to run as two chunks: {sequential:?}"
     );
 
     let mut diffs = Vec::new();

@@ -27,4 +27,4 @@ pub mod sep;
 pub mod spec;
 
 pub use generated::{generated_spec, kernel_seeds};
-pub use spec::{all, lane_images, KernelSpec};
+pub use spec::{all, lane_images, lane_images_in, KernelSpec};

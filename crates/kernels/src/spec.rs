@@ -48,8 +48,16 @@ const INPUT_RANGE: i32 = 64;
 /// spec's own memory size, so every in-bounds kernel stays in bounds on
 /// every lane.
 pub fn lane_images(spec: &KernelSpec, seed: u64, n: usize) -> Vec<Vec<i32>> {
-    (0..n)
-        .map(|lane| cmam_cdfg::input_image(seed, lane as u64, spec.mem.len(), INPUT_RANGE))
+    lane_images_in(spec.mem.len(), seed, 0..n)
+}
+
+/// The images of lanes `lanes` of the same input set, for a kernel whose
+/// memory holds `mem_len` words: `lane_images_in(spec.mem.len(), seed,
+/// a..b)` equals `lane_images(spec, seed, b)[a..b]`, so a sweep cut into
+/// lane chunks generates each chunk on its own.
+pub fn lane_images_in(mem_len: usize, seed: u64, lanes: Range<usize>) -> Vec<Vec<i32>> {
+    lanes
+        .map(|lane| cmam_cdfg::input_image(seed, lane as u64, mem_len, INPUT_RANGE))
         .collect()
 }
 

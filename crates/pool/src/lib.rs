@@ -2,8 +2,10 @@
 //!
 //! One process-wide pool serves the toolchain's parallel work: the
 //! engine's batch compilation jobs (whole map→assemble→simulate
-//! pipelines, milliseconds each). A map itself runs on one thread,
-//! inside whichever job runs it.
+//! pipelines, milliseconds each) and the lane chunks of its input sweeps
+//! (128 lanes or more each: one fork-join generates a sweep's inputs
+//! and, on a miss, a second one simulates them). A map itself runs on
+//! one thread, inside whichever job runs it.
 //!
 //! ## Execution model
 //!
