@@ -217,11 +217,6 @@ impl CgraConfig {
     pub fn total_cm_words(&self) -> usize {
         self.tiles.iter().map(|t| t.cm_words).sum()
     }
-
-    /// The largest context memory of any tile.
-    pub fn max_cm_words(&self) -> usize {
-        self.tiles.iter().map(|t| t.cm_words).max().unwrap_or(0)
-    }
 }
 
 impl fmt::Display for CgraConfig {

@@ -179,12 +179,6 @@ impl Geometry {
         out
     }
 
-    /// Returns `true` when `a` and `b` are the same tile or direct torus
-    /// neighbours (operand readable without a `move`).
-    pub fn adjacent_or_same(&self, a: TileId, b: TileId) -> bool {
-        self.distance(a, b) <= 1
-    }
-
     /// Minimal hop distance between two tiles on the torus.
     pub fn distance(&self, a: TileId, b: TileId) -> usize {
         let pa = self.pos(a);

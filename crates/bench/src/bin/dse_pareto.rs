@@ -202,7 +202,6 @@ fn run_search_mode(
         &energy,
         &SearchOptions {
             max_jobs: args.count("--max-jobs"),
-            ..SearchOptions::default()
         },
     );
     let elapsed = t0.elapsed();

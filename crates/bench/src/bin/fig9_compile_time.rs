@@ -3,7 +3,7 @@
 //! average of 1.8x for the full flow (17 s -> 30 s absolute).
 //!
 //! Compile times come out of the engine's [`cmam_bench::RunOutcome`] /
-//! [`cmam_bench::RunFailure`], which time the mapper search when the job
+//! [`cmam_bench::JobFailure`], which time the mapper search when the job
 //! executes. Because this binary *measures wall-clock*, it uses its own
 //! sequential, uncached engine: parallel workers would contend for cores
 //! and inflate every measurement, and a cache hit would report another

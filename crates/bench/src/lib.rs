@@ -32,8 +32,7 @@ pub use gen::GenCli;
 pub use obs_session::{obs_session, ObsSession};
 
 pub use cmam_engine::{
-    smoke_matrix, Engine, EngineOptions, EngineStats, FailStage, JobFailure, JobRequest,
-    RunFailure, RunOutcome,
+    smoke_matrix, Engine, EngineOptions, EngineStats, FailStage, JobFailure, JobRequest, RunOutcome,
 };
 
 /// Root seed of the batched input sets of `input_sweep` and
@@ -88,7 +87,7 @@ pub fn run_flow(
     spec: &KernelSpec,
     variant: FlowVariant,
     config: &CgraConfig,
-) -> Result<RunOutcome, RunFailure> {
+) -> Result<RunOutcome, JobFailure> {
     engine().run_one(&JobRequest::flow(spec, variant, config))
 }
 

@@ -225,11 +225,10 @@ impl CdfgBuilder {
     ///
     /// Panics if `value` is not produced by an operation of the current
     /// block (constants / symbol uses must be copied through a `mov`
-    /// first — [`mov_const_to_symbol`] and [`mov_to_symbol`] do that), or
-    /// if the symbol is already written in this block.
+    /// first — [`mov_const_to_symbol`] does that for a constant), or if
+    /// the symbol is already written in this block.
     ///
     /// [`mov_const_to_symbol`]: CdfgBuilder::mov_const_to_symbol
-    /// [`mov_to_symbol`]: CdfgBuilder::mov_to_symbol
     pub fn write_symbol(&mut self, value: ValueId, s: SymbolId) {
         let bb = self.current();
         let def = match self.values[value.0 as usize].kind {
@@ -251,12 +250,6 @@ impl CdfgBuilder {
     pub fn mov_const_to_symbol(&mut self, c: i32, s: SymbolId) {
         let cv = self.constant(c);
         let v = self.op(Opcode::Mov, &[cv]);
-        self.write_symbol(v, s);
-    }
-
-    /// Emits `mov` of an arbitrary value and writes it to symbol `s`.
-    pub fn mov_to_symbol(&mut self, value: ValueId, s: SymbolId) {
-        let v = self.op(Opcode::Mov, &[value]);
         self.write_symbol(v, s);
     }
 

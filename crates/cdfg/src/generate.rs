@@ -21,7 +21,7 @@
 //!   never touch the same word — the class annotation licenses the
 //!   scheduler to reorder across classes, so a dishonest one would make
 //!   the generated kernel's semantics schedule-dependent.
-//! * **Determinism.** Generation consumes a private splitmix64 stream and
+//! * **Determinism.** Generation consumes a [`SplitMix64`] stream and
 //!   touches no hash-map iteration order, clocks or ambient state: the same
 //!   `(GenParams, seed)` yields a byte-identical kernel on every thread
 //!   count, every run, every process (pinned by the generator-determinism
@@ -234,8 +234,13 @@ pub struct GeneratedKernel {
     pub mem: Vec<i32>,
 }
 
-/// Private splitmix64 stream: dependency-free, stable across platforms.
-struct Rng(u64);
+/// The workspace's seeded stream, splitmix64 (Steele, Lea and Flood,
+/// 2014): dependency-free and stable across platforms. The generator,
+/// [`input_image`], `cmam_kernels::kernel_seeds`, the DSE space sampler
+/// and the property suites all draw from it, so its constants live here
+/// only.
+#[derive(Debug, Clone)]
+pub struct SplitMix64(u64);
 
 /// splitmix64's state increment.
 const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -247,22 +252,30 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-impl Rng {
-    fn new(seed: u64) -> Self {
-        // Pre-mix so seed 0 and seed 1 diverge immediately.
-        let mut r = Rng(seed ^ GAMMA);
-        r.next();
+impl SplitMix64 {
+    /// The stream for `seed`, pre-mixed so seed 0 and seed 1 diverge
+    /// immediately (what [`generate`] and [`input_image`] draw from).
+    pub fn new(seed: u64) -> Self {
+        let mut r = SplitMix64(seed ^ GAMMA);
+        r.next_u64();
         r
     }
 
-    fn next(&mut self) -> u64 {
+    /// The raw stream from `state`: the first draw is the output
+    /// function of `state + GAMMA`, splitmix64's reference sequence.
+    pub fn from_state(state: u64) -> Self {
+        SplitMix64(state)
+    }
+
+    /// The next 64-bit draw.
+    pub fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(GAMMA);
         mix(self.0)
     }
 
-    /// Uniform in `0..n` (`n > 0`).
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
+    /// Uniform in `0..n` (`n > 0`), as the remainder of one draw.
+    pub fn below(&mut self, n: u64) -> u64 {
+        self.next_u64() % n
     }
 
     /// True with probability `pct`/100.
@@ -354,14 +367,14 @@ impl FastMod {
 /// stream family as [`generate`] (platform-stable, dependency-free).
 /// `(seed, lane)` fully determines the image, so sweeps, benches and
 /// property tests can all regenerate the exact same inputs from two
-/// integers. Word `k` is the draw `Rng::imm` would make `k`-th,
+/// integers. Word `k` is the draw `SplitMix64::imm` would make `k`-th,
 /// computed from its index (splitmix64's state advances by a constant,
 /// so no word waits on the one before), with the remainder by
 /// `2·range + 1` strength-reduced (`FastMod`).
 pub fn input_image(seed: u64, lane: u64, len: usize, range: i32) -> Vec<i32> {
     // Mix the lane into the seed with an odd multiplier so consecutive
     // lanes land on unrelated streams.
-    let rng = Rng::new(seed ^ lane.wrapping_mul(0xa076_1d64_78bd_642f));
+    let rng = SplitMix64::new(seed ^ lane.wrapping_mul(0xa076_1d64_78bd_642f));
     let first = rng.0.wrapping_add(GAMMA);
     let span = FastMod::new(2 * range as u64 + 1);
     (0..len as u64)
@@ -421,7 +434,7 @@ impl BlockCtx {
 
 fn pick_operand(
     b: &mut CdfgBuilder,
-    rng: &mut Rng,
+    rng: &mut SplitMix64,
     p: &GenParams,
     syms: &[SymbolId],
     ctx: &BlockCtx,
@@ -456,7 +469,7 @@ fn pick_operand(
 /// disjoint address region.
 fn gen_addr(
     b: &mut CdfgBuilder,
-    rng: &mut Rng,
+    rng: &mut SplitMix64,
     p: &GenParams,
     syms: &[SymbolId],
     ctx: &mut BlockCtx,
@@ -482,7 +495,7 @@ fn gen_addr(
 /// Appends a sampled body of operations to the currently selected block.
 fn fill_block(
     b: &mut CdfgBuilder,
-    rng: &mut Rng,
+    rng: &mut SplitMix64,
     p: &GenParams,
     syms: &[SymbolId],
     ctx: &mut BlockCtx,
@@ -536,7 +549,7 @@ fn fill_block(
 /// constant.
 fn gen_cond(
     b: &mut CdfgBuilder,
-    rng: &mut Rng,
+    rng: &mut SplitMix64,
     p: &GenParams,
     syms: &[SymbolId],
     ctx: &mut BlockCtx,
@@ -557,7 +570,7 @@ fn gen_cond(
 /// outputs (`GeneratedKernel` implements `PartialEq` over the full graph).
 pub fn generate(params: &GenParams, seed: u64) -> GeneratedKernel {
     let p = params.sanitized();
-    let mut rng = Rng::new(seed);
+    let mut rng = SplitMix64::new(seed);
     let name = format!("gen-{}-{seed:016x}", p.label);
     let mut b = CdfgBuilder::new(name.clone());
 
@@ -779,9 +792,26 @@ mod tests {
     }
 
     #[test]
+    fn the_stream_from_state_zero_is_splitmix64s_reference() {
+        let mut rng = SplitMix64::from_state(0);
+        let draws = [rng.next_u64(), rng.next_u64(), rng.next_u64()];
+        assert_eq!(
+            draws,
+            [
+                0xe220_a839_7b1d_cdaf,
+                0x6e78_9e6a_a1b9_65f4,
+                0x06c4_5d18_8009_454f
+            ]
+        );
+        // `new` starts from `seed ^ GAMMA` and discards one draw, so
+        // seed 0's first draw is the reference's third.
+        assert_eq!(SplitMix64::new(0).next_u64(), draws[2]);
+    }
+
+    #[test]
     fn fast_remainder_equals_the_hardware_remainder() {
-        let mut rng = Rng::new(0xfa57);
-        let seeded: Vec<u64> = (0..10_000).map(|_| rng.next()).collect();
+        let mut rng = SplitMix64::new(0xfa57);
+        let seeded: Vec<u64> = (0..10_000).map(|_| rng.next_u64()).collect();
         // `input_image` divides by 2·range + 1: 2³¹ − 1 at range 2³⁰ − 1
         // and 2³² − 1 at `i32::MAX`. The last divisors span 64 bits.
         let extremes = [
@@ -803,7 +833,7 @@ mod tests {
     fn input_images_equal_the_remainder_draws() {
         for range in [0, 1, 64, i32::MAX] {
             for (seed, lane) in [(0, 0), (7, 3), (u64::MAX, 255u64)] {
-                let mut rng = Rng::new(seed ^ lane.wrapping_mul(0xa076_1d64_78bd_642f));
+                let mut rng = SplitMix64::new(seed ^ lane.wrapping_mul(0xa076_1d64_78bd_642f));
                 let want: Vec<i32> = (0..300).map(|_| rng.imm(range)).collect();
                 assert_eq!(input_image(seed, lane, 300, range), want, "range {range}");
             }

@@ -76,7 +76,7 @@ pub mod value;
 pub use builder::CdfgBuilder;
 pub use cdfg::{BasicBlock, BlockId, Cdfg, Terminator};
 pub use dfg::{Dfg, Op, OpId};
-pub use generate::{generate, input_image, Fanout, GenParams, GeneratedKernel};
+pub use generate::{generate, input_image, Fanout, GenParams, GeneratedKernel, SplitMix64};
 pub use interp::{InterpError, InterpStats};
 pub use op::Opcode;
 pub use validate::ValidateError;

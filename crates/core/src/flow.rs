@@ -596,16 +596,32 @@ impl Mapper {
         }
 
         // Finalisation: symbol commits + exact feasibility, per partial.
+        // Only when every survivor fails does a second pass let commits
+        // park on a neighbour of their home, so a block that maps without
+        // parking keeps its mapping.
         let _finalize_span = cmam_obs::span!("finalize", survivors = population.len() as u64);
         let mut finalized: Vec<Partial> = Vec::new();
+        let mut failed: Vec<Partial> = Vec::new();
         for mut p in population {
-            if p.finalize(ctx, block) {
+            let cp = p.checkpoint();
+            if p.finalize(ctx, block, false) {
                 finalized.push(p);
             } else {
                 stats.finalize_failures += 1;
-                pool_mem.push(p);
+                p.rollback(cp);
+                failed.push(p);
             }
         }
+        if finalized.is_empty() {
+            for mut p in failed.drain(..) {
+                if p.finalize(ctx, block, true) {
+                    finalized.push(p);
+                } else {
+                    pool_mem.push(p);
+                }
+            }
+        }
+        pool_mem.append(&mut failed);
         if finalized.is_empty() {
             return Err(MapError::MemoryConstraint {
                 block,
@@ -848,7 +864,7 @@ mod tests {
             }
             let Some(best) = population
                 .into_iter()
-                .find_map(|mut p| p.finalize(&ctx, block).then_some(p))
+                .find_map(|mut p| p.finalize(&ctx, block, false).then_some(p))
             else {
                 return;
             };
@@ -1046,7 +1062,7 @@ mod tests {
             }
             let mut finalized: Vec<Partial> = population
                 .into_iter()
-                .filter_map(|mut p| p.finalize(&ctx, block).then_some(p))
+                .filter_map(|mut p| p.finalize(&ctx, block, false).then_some(p))
                 .collect();
             finalized.sort_by_key(|p| (p.length(), p.cost()));
             let Some(best) = finalized.first() else {

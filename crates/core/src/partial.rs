@@ -1784,9 +1784,11 @@ impl Partial {
     /// Completes the block: resolves symbol writes (direct-write elision
     /// or commit moves), fixes the final schedule length, and — when the
     /// flow is memory-aware — verifies the exact per-tile context words
-    /// against the configuration. Returns `false` when the partial cannot
-    /// be completed; the state is then dirty.
-    pub fn finalize(&mut self, ctx: &MapCtx<'_>, block: BlockId) -> bool {
+    /// against the configuration. With `park`, a commit that finds no
+    /// slot falls back to parking the value on a neighbour of the home
+    /// (`park_and_commit`). Returns `false` when the partial cannot be
+    /// completed; the state is then dirty.
+    pub fn finalize(&mut self, ctx: &MapCtx<'_>, block: BlockId, park: bool) -> bool {
         let dfg = ctx.cdfg.dfg(block);
         let writes: Vec<(OpId, SymbolId, ValueId)> = dfg
             .ops()
@@ -1867,6 +1869,7 @@ impl Partial {
                 }
                 self.rollback(cp);
             }
+            let committed = committed || (park && self.park_and_commit(ctx, s, v, home, lhr));
             if !committed {
                 return false;
             }
@@ -1880,6 +1883,84 @@ impl Partial {
             }
         }
         true
+    }
+
+    /// Commits `v` to symbol `s` through a neighbour `y` of its `home`: a
+    /// move parks `v` on `y` at some cycle `m`, and the commit move reads
+    /// it there at the first free home cycle `c ≥ max(from, m + 1)`.
+    ///
+    /// The regular commit search misses this when no copy of `v` can live
+    /// until a free home slot — say a producer on the home whose write
+    /// waits for a later read of the old value while the home's register
+    /// file fills up — because [`route_value`](Partial::route_value)
+    /// moves the value at the first free slot of the first neighbour it
+    /// tries, even when the copy it reads is gone by then. Returns `false`
+    /// with the state unchanged.
+    fn park_and_commit(
+        &mut self,
+        ctx: &MapCtx<'_>,
+        s: SymbolId,
+        v: ValueId,
+        home: TileId,
+        from: usize,
+    ) -> bool {
+        let max_schedule = ctx.options.max_schedule;
+        for i in 0..ctx.pre.nbr_sorted[home.0].len() {
+            let y = ctx.pre.nbr_sorted[home.0][i];
+            // A copy on `y` itself was already tried by the regular search.
+            if (ctx.options.cab && self.blacklisted(ctx, y))
+                || self.copies_of(v).any(|(t, _)| t == y)
+            {
+                continue;
+            }
+            // The latest ready cycle of a copy a move on `y` can read.
+            let Some(latest) = self
+                .copies_of(v)
+                .filter(|&(t, _)| ctx.pre.distance(t, y) == 1)
+                .map(|(_, ready)| ready as usize)
+                .max()
+            else {
+                continue;
+            };
+            for m in 0..max_schedule {
+                if !self.slot_free(y, m) {
+                    continue;
+                }
+                let Some(c) = (from.max(m + 1)..max_schedule).find(|&c| self.slot_free(home, c))
+                else {
+                    break;
+                };
+                let cp = self.checkpoint();
+                let Some(src) = self.acquire_read(ctx, v, y, m) else {
+                    self.rollback(cp);
+                    // Every copy is ready by `latest`, so past it a
+                    // failed read means no copy lives until `m`, nor
+                    // will it later.
+                    if m >= latest {
+                        break;
+                    }
+                    continue;
+                };
+                if self.try_add_copy(ctx, y, v, m + 1) && self.try_extend_use(ctx, y, v, c) {
+                    for (tile, cycle, src_tile, commit_symbol) in
+                        [(y, m, src, None), (home, c, y, Some(s))]
+                    {
+                        self.occupy(tile, cycle);
+                        self.journal.push(UndoOp::PopMove);
+                        self.moves.push(PlacedMove {
+                            value: v,
+                            src_tile,
+                            tile,
+                            cycle,
+                            commit_symbol,
+                        });
+                    }
+                    return true;
+                }
+                self.rollback(cp);
+            }
+        }
+        false
     }
 
     /// Search cost: `(schedule extent, move count + commit debt)` —
@@ -2133,7 +2214,7 @@ mod tests {
         // Place the add on tile 3: the unpinned symbol gets pinned there.
         assert!(p.try_place_op(&ctx, ops[0], TileId(3), 0));
         assert_eq!(p.home_of(s), Some(TileId(3)));
-        assert!(p.finalize(&ctx, bb));
+        assert!(p.finalize(&ctx, bb, false));
         // Producer sits on the home tile: the write is elided into a
         // direct write, no commit move.
         let bm = p.into_block_mapping();
@@ -2166,7 +2247,7 @@ mod tests {
         // Producer on tile 10 (distance 4 from home 0); reading the symbol
         // from home needs moves, and committing back needs more.
         assert!(p.try_place_op(&ctx, ops[0], TileId(10), 4));
-        assert!(p.finalize(&ctx, bb));
+        assert!(p.finalize(&ctx, bb, false));
         let bm = p.into_block_mapping();
         let commit = bm
             .moves
@@ -2190,7 +2271,7 @@ mod tests {
         let before: Vec<usize> = (0..16).map(|i| p.ecmap_words(TileId(i))).collect();
         assert!(p.try_place_op(&ctx, ops[1], TileId(1), 3));
         assert!(p.try_place_op(&ctx, ops[2], TileId(1), 5));
-        assert!(p.finalize(&ctx, cmam_cdfg::BlockId(0)));
+        assert!(p.finalize(&ctx, cmam_cdfg::BlockId(0), false));
         for (i, &words) in before.iter().enumerate() {
             let t = TileId(i);
             assert!(
@@ -2283,7 +2364,7 @@ mod tests {
         // partial must finish exactly as an untouched one would.
         assert!(p.try_place_op(&ctx, ops[1], TileId(0), 1));
         assert!(p.try_place_op(&ctx, ops[2], TileId(0), 2));
-        assert!(p.finalize(&ctx, cmam_cdfg::BlockId(0)));
+        assert!(p.finalize(&ctx, cmam_cdfg::BlockId(0), false));
     }
 
     #[test]
@@ -2380,7 +2461,7 @@ mod tests {
         assert_semantically_equal(&recycled, &fresh);
         for p in [&mut recycled, &mut fresh] {
             assert!(p.try_place_op(&ctx, ops[2], TileId(6), 6));
-            assert!(p.finalize(&ctx, cmam_cdfg::BlockId(0)));
+            assert!(p.finalize(&ctx, cmam_cdfg::BlockId(0), false));
         }
         assert_eq!(recycled.into_block_mapping(), fresh.into_block_mapping());
     }

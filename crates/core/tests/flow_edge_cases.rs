@@ -170,3 +170,23 @@ fn symbol_heavy_kernel_maps_with_weighted_traversal() {
     assert_eq!(r.mapping.symbol_homes.len(), 6);
     cmam_isa::assemble(&spec.cdfg, &r.mapping, &config).unwrap();
 }
+
+/// A `wide` generated kernel whose `bb1` computes symbol `g2`'s new
+/// value on its home tile before the old value's last read there, while
+/// the home's register file fills up until its first free slot: no copy
+/// lives until a commit slot, so every survivor's first finalisation
+/// fails and the block maps only by parking the value on a neighbour.
+#[test]
+fn a_commit_parks_on_a_neighbour_when_no_copy_outlives_the_home_register_file() {
+    let params = cmam_cdfg::GenParams::profile("wide").expect("known profile");
+    let spec = cmam_kernels::generated_spec(&params, 0x0f19_e5ab_5194_4538);
+    let config = CgraConfig::hom64();
+    let r = Mapper::new(MapperOptions::basic())
+        .map(&spec.cdfg, &config)
+        .expect("the parked commit maps the block");
+    assert!(
+        r.stats.finalize_failures > 0,
+        "the first finalisation pass fails"
+    );
+    cmam_isa::assemble(&spec.cdfg, &r.mapping, &config).unwrap();
+}

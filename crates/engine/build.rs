@@ -51,8 +51,7 @@ fn main() {
     // The vendored runtime stubs are part of the toolchain too: the
     // mapper's stochastic pruning runs on vendor/rand's PRNG and the
     // graph layers use vendor/petgraph, so editing either changes job
-    // outcomes just as surely as editing the mapper. (proptest is
-    // dev-only and does not influence outcomes.)
+    // outcomes just as surely as editing the mapper.
     let vendor = crates
         .parent()
         .expect("crates/ lives in the workspace root")

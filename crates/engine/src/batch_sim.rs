@@ -13,7 +13,7 @@
 //! invalidates cached sweeps even at an unchanged seed.
 
 use crate::fingerprint::{Fingerprint, Fnv64};
-use crate::job::{JobRequest, RunFailure, RunOutcome};
+use crate::job::{JobFailure, JobRequest, RunOutcome};
 use cmam_arch::CgraConfig;
 use cmam_core::{FlowVariant, MapperOptions};
 use cmam_kernels::KernelSpec;
@@ -162,29 +162,7 @@ impl BatchSimOutcome {
             match lane {
                 Ok(s) => {
                     h.feed_u64(1);
-                    h.feed_u64(s.cycles);
-                    h.feed_u64(s.stall_cycles);
-                    h.feed_usize(s.block_execs.len());
-                    for &n in &s.block_execs {
-                        h.feed_u64(n);
-                    }
-                    for t in &s.tiles {
-                        for v in [
-                            t.active_cycles,
-                            t.idle_cycles,
-                            t.cm_fetches,
-                            t.alu_ops,
-                            t.moves,
-                            t.loads,
-                            t.stores,
-                            t.rf_reads,
-                            t.neighbor_reads,
-                            t.crf_reads,
-                            t.rf_writes,
-                        ] {
-                            h.feed_u64(v);
-                        }
-                    }
+                    s.fingerprint(&mut h);
                 }
                 Err(e) => {
                     h.feed_u64(0);
@@ -203,7 +181,7 @@ impl BatchSimOutcome {
 /// What a batch-sim job evaluates to: a sweep outcome, or the compile
 /// pipeline's failure (a lane-level simulation error is *data*, carried
 /// inside the outcome, not a job failure).
-pub type BatchSimResult = Result<BatchSimOutcome, RunFailure>;
+pub type BatchSimResult = Result<BatchSimOutcome, JobFailure>;
 
 /// Digest of one memory image (FNV-1a over length and words).
 fn mem_digest(mem: &[i32]) -> u64 {

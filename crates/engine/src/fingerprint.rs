@@ -13,6 +13,7 @@ use cmam_core::{MapperOptions, Traversal};
 use cmam_isa::program::BinTerminator;
 use cmam_isa::{CgraBinary, Instr, Operand};
 use cmam_kernels::KernelSpec;
+use cmam_sim::SimStats;
 
 /// Bumped whenever the fingerprint coverage or the on-disk artifact format
 /// changes, so stale cache entries are never misread.
@@ -340,6 +341,35 @@ impl Fingerprint for CgraBinary {
     }
 }
 
+/// Every counter: the totals, the per-block execution counts and the 11
+/// per-tile counters, in declaration order.
+impl Fingerprint for SimStats {
+    fn fingerprint(&self, h: &mut Fnv64) {
+        h.feed_u64(self.cycles);
+        h.feed_u64(self.stall_cycles);
+        // Dense per-block counts: iteration order is the block order.
+        h.feed_usize(self.block_execs.len());
+        self.block_execs.iter().for_each(|&n| h.feed_u64(n));
+        for t in &self.tiles {
+            for v in [
+                t.active_cycles,
+                t.idle_cycles,
+                t.cm_fetches,
+                t.alu_ops,
+                t.moves,
+                t.loads,
+                t.stores,
+                t.rf_reads,
+                t.neighbor_reads,
+                t.crf_reads,
+                t.rf_writes,
+            ] {
+                h.feed_u64(v);
+            }
+        }
+    }
+}
+
 impl Fingerprint for KernelSpec {
     fn fingerprint(&self, h: &mut Fnv64) {
         h.feed_str(&self.name);
@@ -362,17 +392,8 @@ impl Fingerprint for KernelSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cmam_cdfg::{BlockId, GenParams, Value};
+    use cmam_cdfg::{BlockId, GenParams, SplitMix64, Value};
     use cmam_core::FlowVariant;
-
-    /// splitmix64, for seeded test values.
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
 
     #[test]
     fn folded_feed_u64_equals_bytewise_fnv() {
@@ -381,12 +402,12 @@ mod tests {
             let p = 1u64 << (8 * k);
             values.extend([p - 1, p, p + 1]);
         }
-        let mut state = 0x5eed;
+        let mut rng = SplitMix64::from_state(0x5eed);
         for _ in 0..10_000 {
-            let r = splitmix(&mut state);
+            let r = rng.next_u64();
             // Shifted by a seeded amount, so every significant-byte
             // count occurs, not only full-width values.
-            values.push(r >> (splitmix(&mut state) % 64));
+            values.push(r >> rng.below(64));
         }
         // One running chain, so every value starts from a fresh state;
         // `feed_bytes` is byte-wise FNV-1a, one step per byte.
@@ -402,8 +423,8 @@ mod tests {
     #[test]
     fn feed_word_equals_bytewise_fnv_of_the_widened_word() {
         let mut words = vec![0, 1, -1, 255, 256, -256, i32::MIN, i32::MAX];
-        let mut state = 7;
-        words.extend((0..1000).map(|_| splitmix(&mut state) as i32));
+        let mut rng = SplitMix64::from_state(7);
+        words.extend((0..1000).map(|_| rng.next_u64() as i32));
         let mut word = Fnv64::new();
         let mut bytewise = Fnv64::new();
         for w in words {

@@ -42,30 +42,7 @@ impl RunOutcome {
     pub fn content_digest(&self) -> u64 {
         let mut h = Fnv64::new();
         h.feed_u64(self.cycles);
-        h.feed_u64(self.sim.cycles);
-        h.feed_u64(self.sim.stall_cycles);
-        // Dense per-block counts: iteration order is the block order.
-        h.feed_usize(self.sim.block_execs.len());
-        for &n in &self.sim.block_execs {
-            h.feed_u64(n);
-        }
-        for t in &self.sim.tiles {
-            for v in [
-                t.active_cycles,
-                t.idle_cycles,
-                t.cm_fetches,
-                t.alu_ops,
-                t.moves,
-                t.loads,
-                t.stores,
-                t.rf_reads,
-                t.neighbor_reads,
-                t.crf_reads,
-                t.rf_writes,
-            ] {
-                h.feed_u64(v);
-            }
-        }
+        self.sim.fingerprint(&mut h);
         for &(o, m, p) in &self.report.per_tile {
             h.feed_usize(o);
             h.feed_usize(m);
@@ -131,9 +108,6 @@ pub struct JobFailure {
     /// How many attempts the engine made before settling on this failure.
     pub attempts: u32,
 }
-
-/// Former name of [`JobFailure`], kept so downstream callers compile.
-pub type RunFailure = JobFailure;
 
 impl JobFailure {
     /// A deterministic pipeline failure: first attempt, not retriable.

@@ -49,7 +49,7 @@ pub use batch_sim::{BatchSimOutcome, BatchSimRequest, BatchSimResult};
 pub use fingerprint::{Fingerprint, Fnv64, FORMAT_VERSION};
 pub use job::{
     execute, execute_with_recovery, smoke_matrix, FailStage, JobFailure, JobRequest, JobResult,
-    RunFailure, RunOutcome,
+    RunOutcome,
 };
 pub use search::{run_search, ConfigEval, ConfigStatus, SearchOptions, SearchResult, SearchStats};
 
@@ -245,11 +245,6 @@ impl Engine {
         }
     }
 
-    /// Whether the on-disk store is active.
-    pub fn disk_cache_enabled(&self) -> bool {
-        self.disk.enabled()
-    }
-
     /// Lifetime counters.
     pub fn stats(&self) -> EngineStats {
         *lock_recover(&self.stats)
@@ -422,7 +417,7 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// The compile pipeline's [`RunFailure`] (no mapping, does not fit),
+    /// The compile pipeline's [`JobFailure`] (no mapping, does not fit),
     /// or a [`FailStage::Panic`] failure if image generation, the decoder
     /// or the batched simulator panicked. Per-lane simulation errors are
     /// data, carried inside the outcome.

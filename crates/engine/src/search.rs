@@ -63,11 +63,11 @@
 //!      projected by scaling the representative's full energy by the
 //!      ratio of prefix energies (energy is near-proportional across
 //!      kernels within a shape). The configuration is raced when some
-//!      completed configuration beats the projected point with
-//!      [`SearchOptions::race_margin_energy`] to spare. With the
-//!      representative itself as the eliminator this reduces to a
-//!      margined prefix-energy comparison, killing same-shape
-//!      memory-provisioning duds after one or two kernels.
+//!      completed configuration beats the projected point with a 10%
+//!      energy margin to spare. With the representative itself as the
+//!      eliminator this reduces to a margined prefix-energy comparison,
+//!      killing same-shape memory-provisioning duds after one or two
+//!      kernels.
 //!    - *Floor projection for representative-less groups*: direct
 //!      cross-shape prefix comparison is noisy (prefix ratios drift a
 //!      few percent from full-mix ratios), so a configuration whose
@@ -85,8 +85,8 @@
 //!    full-mix dominance. It is empirically exact on the validation
 //!    space (asserted by tests and gated in CI), and on generated
 //!    spaces the benchmark reports frontier quality rather than
-//!    assuming it. Disable with [`SearchOptions::racing`] for a
-//!    provably exact (but far less frugal) search.
+//!    assuming it. Racing is always on: a provably exact (but far less
+//!    frugal) search is rules 5 and 6 alone.
 //! 5. The sound backstop described above: lower-bound domination
 //!    against completed feasible configurations.
 //! 6. Configurations failing any kernel are closed out as infeasible
@@ -123,31 +123,20 @@ pub struct SearchOptions {
     /// resume tests restart an aborted search over the same artifact
     /// store and assert zero re-execution.
     pub max_jobs: Option<usize>,
-    /// Probe size and per-rung promotion count, as the denominator of a
-    /// fraction of the live count (`n / divisor`, at least one; the
-    /// probe additionally floors at four). `None` uses the default.
-    pub promote_divisor: Option<usize>,
-    /// Racing elimination (rule 4 in the module docs). `None` means on —
-    /// the intended configuration; `Some(false)` restricts the search
-    /// to the provably exact rules only.
-    pub racing: Option<bool>,
-    /// Relative energy margin for racing: the eliminator must beat the
-    /// victim's projected energy by at least this fraction. `None` uses
-    /// the default (10%).
-    pub race_margin_energy: Option<f64>,
 }
 
-/// Default probe denominator: probe `space / 16` configs up front
-/// (floored at four). Small enough that probing stays within the
-/// evaluation budget, large enough to seed eliminators across the
-/// provisioning spectrum and a usable lethality census.
-const DEFAULT_PROMOTE_DIVISOR: usize = 16;
+/// Probe size as a fraction of the space: probe `space / 16` configs up
+/// front (floored at [`MIN_PROBES`]). Small enough that probing stays
+/// within the evaluation budget, large enough to seed eliminators across
+/// the provisioning spectrum and a usable lethality census.
+const PROBE_DIVISOR: usize = 16;
 
 /// Probe at least this many configurations regardless of space size.
 const MIN_PROBES: usize = 4;
 
-/// Default racing energy margin (see [`SearchOptions`]).
-const DEFAULT_RACE_MARGIN_ENERGY: f64 = 0.10;
+/// Relative energy margin for racing: the eliminator must beat the
+/// victim's projected energy by at least this fraction.
+const RACE_MARGIN_ENERGY: f64 = 0.10;
 
 /// Safety slack on the floor projection for representative-less groups
 /// (rule 4 in the module docs): every unevaluated kernel's contribution
@@ -301,14 +290,6 @@ pub fn run_search(
         .collect();
     let mut stats = SearchStats::default();
     let mut aborted = false;
-    let promote_divisor = options
-        .promote_divisor
-        .unwrap_or(DEFAULT_PROMOTE_DIVISOR)
-        .max(1);
-    let racing = options.racing.unwrap_or(true);
-    let margin_e = options
-        .race_margin_energy
-        .unwrap_or(DEFAULT_RACE_MARGIN_ENERGY);
 
     // Runs `(config, kernel)` jobs through the engine, honouring the
     // `max_jobs` abort budget, and folds results into the states;
@@ -360,7 +341,7 @@ pub fn run_search(
     // Completed probes seed the eliminator pool across the provisioning
     // spectrum; probe failures build the lethality census that orders
     // the rungs.
-    let probe_n = (configs.len() / promote_divisor)
+    let probe_n = (configs.len() / PROBE_DIVISOR)
         .max(MIN_PROBES)
         .min(configs.len());
     let stride = (configs.len() / probe_n).max(1);
@@ -512,7 +493,7 @@ pub fn run_search(
                     cmam_obs::counter!("dse.search_dominated").add(1);
                     continue;
                 }
-                if !racing || rung == 0 {
+                if rung == 0 {
                     continue;
                 }
                 let raced = match group.rep {
@@ -523,9 +504,9 @@ pub fn run_search(
                         // group reduces to a margined prefix-energy
                         // comparison.
                         let projected = rep_energy * (prefix_energy / rep_prefix_energy);
-                        completed
-                            .iter()
-                            .any(|&(fe, fc)| fe <= projected * (1.0 - margin_e) && fc <= rep_cycles)
+                        completed.iter().any(|&(fe, fc)| {
+                            fe <= projected * (1.0 - RACE_MARGIN_ENERGY) && fc <= rep_cycles
+                        })
                     }
                     None => {
                         // Floor projection: the optimistic full-mix
@@ -542,7 +523,7 @@ pub fn run_search(
                             }
                         }
                         completed.iter().any(|&(fe, fc)| {
-                            fe <= proj_e * (1.0 - margin_e) && (fc as f64) <= proj_c
+                            fe <= proj_e * (1.0 - RACE_MARGIN_ENERGY) && (fc as f64) <= proj_c
                         })
                     }
                 };

@@ -337,7 +337,6 @@ fn resumed_dse_search_under_faults_matches_the_fault_free_frontier() {
         &energy,
         &SearchOptions {
             max_jobs: Some(configs.len() + 5),
-            ..SearchOptions::default()
         },
     );
     assert!(killed.aborted);

@@ -177,7 +177,6 @@ fn killed_search_resumes_without_reexecuting_finished_jobs() {
         &energy,
         &SearchOptions {
             max_jobs: Some(configs.len() + 5),
-            ..SearchOptions::default()
         },
     );
     assert!(killed.aborted);

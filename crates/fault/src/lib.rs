@@ -352,8 +352,9 @@ fn fnv64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// splitmix64: the same generator the DSE sampler uses, so fault plans
-/// inherit its statistical quality without any new dependency.
+/// splitmix64, the step of `cmam_cdfg::generate::SplitMix64`. This crate
+/// keeps its own copy: its only dependency is `cmam_obs`, and a new edge
+/// to `cmam_cdfg` would rewrite the benchmark's `perfbench/Cargo.lock`.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;

@@ -76,18 +76,6 @@ pub struct BlockMapping {
 }
 
 impl BlockMapping {
-    /// Occupied `(tile, cycle)` slots (ops and moves).
-    pub fn occupied_slots(&self) -> Vec<(TileId, usize)> {
-        let mut v: Vec<(TileId, usize)> = self
-            .ops
-            .iter()
-            .map(|o| (o.tile, o.cycle))
-            .chain(self.moves.iter().map(|m| (m.tile, m.cycle)))
-            .collect();
-        v.sort();
-        v
-    }
-
     /// Number of instructions (ops + moves) mapped onto `tile`.
     pub fn instr_count(&self, tile: TileId) -> usize {
         self.ops.iter().filter(|o| o.tile == tile).count()

@@ -38,14 +38,6 @@ impl Value {
         }
     }
 
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The string payload, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {

@@ -398,32 +398,6 @@ pub fn global() -> &'static ThreadPool {
     GLOBAL.get_or_init(ThreadPool::new)
 }
 
-/// Runs `job` over `0..n` on the [`global`] pool.
-pub fn run_indexed<T, F>(n: usize, threads: usize, job: F) -> Vec<T>
-where
-    T: Send + 'static,
-    F: Fn(usize) -> T + Send + Sync + 'static,
-{
-    global().run_indexed(n, threads, job)
-}
-
-/// Runs `job` over `0..n` on the [`global`] pool with per-job panic
-/// capture (see [`ThreadPool::try_run_indexed`]).
-pub fn try_run_indexed<T, F>(n: usize, threads: usize, job: F) -> Vec<Result<T, JobPanic>>
-where
-    T: Send + 'static,
-    F: Fn(usize) -> T + Send + Sync + 'static,
-{
-    global().try_run_indexed(n, threads, job)
-}
-
-/// Available hardware parallelism (1 when it cannot be determined).
-pub fn ncpu() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -442,7 +416,7 @@ mod tests {
     fn every_job_runs_exactly_once() {
         let counter = Arc::new(AtomicUsize::new(0));
         let c = Arc::clone(&counter);
-        let out = run_indexed(100, 4, move |i| {
+        let out = global().run_indexed(100, 4, move |i| {
             c.fetch_add(1, Ordering::SeqCst);
             i
         });
@@ -452,13 +426,13 @@ mod tests {
 
     #[test]
     fn zero_and_one_job_edge_cases() {
-        assert_eq!(run_indexed(0, 4, |i| i), Vec::<usize>::new());
-        assert_eq!(run_indexed(1, 4, |i| i + 41), vec![41]);
+        assert_eq!(global().run_indexed(0, 4, |i| i), Vec::<usize>::new());
+        assert_eq!(global().run_indexed(1, 4, |i| i + 41), vec![41]);
     }
 
     #[test]
     fn more_threads_than_jobs_is_fine() {
-        assert_eq!(run_indexed(3, 16, |i| i), vec![0, 1, 2]);
+        assert_eq!(global().run_indexed(3, 16, |i| i), vec![0, 1, 2]);
     }
 
     #[test]
@@ -481,8 +455,8 @@ mod tests {
         // An outer batch whose jobs each submit an inner batch on the same
         // (global) pool. Must not deadlock even when every worker is busy
         // with outer jobs.
-        let out = run_indexed(4, 4, |i| {
-            let inner = run_indexed(6, 4, move |j| i * 10 + j);
+        let out = global().run_indexed(4, 4, |i| {
+            let inner = global().run_indexed(6, 4, move |j| i * 10 + j);
             inner.iter().sum::<usize>()
         });
         let expect: Vec<usize> = (0..4).map(|i| (0..6).map(|j| i * 10 + j).sum()).collect();
@@ -496,7 +470,7 @@ mod tests {
         let slots: Arc<Vec<Mutex<Option<Vec<usize>>>>> =
             Arc::new((0..10).map(|i| Mutex::new(Some(vec![i]))).collect());
         let s = Arc::clone(&slots);
-        run_indexed(10, 4, move |i| {
+        global().run_indexed(10, 4, move |i| {
             let mut v = s[i].lock().unwrap().take().unwrap();
             v.push(i * 2);
             *s[i].lock().unwrap() = Some(v);
@@ -557,7 +531,7 @@ mod tests {
 
     #[test]
     fn many_panics_still_complete_the_batch() {
-        let out = try_run_indexed(32, 4, |i| {
+        let out = global().try_run_indexed(32, 4, |i| {
             assert!(i % 3 != 0, "multiple of three");
             i
         });
@@ -565,6 +539,6 @@ mod tests {
         assert_eq!(err.len(), 11, "every multiple of 3 in 0..32 panics");
         assert_eq!(ok.len(), 21);
         // And the pool still serves clean batches afterwards.
-        assert_eq!(run_indexed(4, 4, |i| i), vec![0, 1, 2, 3]);
+        assert_eq!(global().run_indexed(4, 4, |i| i), vec![0, 1, 2, 3]);
     }
 }

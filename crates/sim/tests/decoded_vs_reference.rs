@@ -7,13 +7,22 @@
 //! The golden suite pins the seven paper kernels; this covers arbitrary
 //! dataflow shapes, so a decode bug that only shows on an operand or
 //! pnop pattern the kernels never produce still gets caught.
+//!
+//! Case `k` draws its kernel from `SplitMix64::new(seed)`, where `seed`
+//! is `kernel_seeds(ROOT, CASES)[k]`, and a failure names both.
 
 use cmam_arch::CgraConfig;
-use cmam_cdfg::{Cdfg, CdfgBuilder, Opcode, ValueId};
+use cmam_cdfg::{Cdfg, CdfgBuilder, Opcode, SplitMix64, ValueId};
 use cmam_core::{FlowVariant, Mapper};
 use cmam_isa::assemble;
+use cmam_kernels::kernel_seeds;
 use cmam_sim::{simulate_reference, DecodedProgram, SimOptions};
-use proptest::prelude::*;
+
+/// Root of the suite's case seeds.
+const ROOT: u64 = 0xdec0_de5e;
+
+/// Cases; each maps, assembles and simulates four bank counts twice.
+const CASES: usize = 24;
 
 /// One randomly generated operation: opcode selector plus operand picks.
 #[derive(Debug, Clone)]
@@ -25,16 +34,22 @@ struct GenOp {
     imm: i32,
 }
 
-fn gen_ops(max: usize) -> impl Strategy<Value = Vec<GenOp>> {
-    prop::collection::vec(
-        (0u8..8, 0usize..64, 0usize..64, 0usize..64, -20i32..20)
-            .prop_map(|(kind, a, b, c, imm)| GenOp { kind, a, b, c, imm }),
-        1..max,
-    )
+/// `1..max` operations, each with an opcode selector in `0..8`, operand
+/// picks in `0..64` and an immediate in `-20..20`.
+fn gen_ops(rng: &mut SplitMix64, max: u64) -> Vec<GenOp> {
+    let len = 1 + rng.below(max - 1);
+    (0..len)
+        .map(|_| GenOp {
+            kind: rng.below(8) as u8,
+            a: rng.below(64) as usize,
+            b: rng.below(64) as usize,
+            c: rng.below(64) as usize,
+            imm: rng.below(40) as i32 - 20,
+        })
+        .collect()
 }
 
-/// Builds a single-block CDFG from the generated recipe (same generator
-/// family as the workspace-level `proptest_mapping` suite): values are
+/// Builds a single-block CDFG from the generated recipe: values are
 /// drawn from earlier results or fresh constants, a few loads read the
 /// low 16 memory words, and the last value is stored to word 40.
 fn build(ops: &[GenOp]) -> Cdfg {
@@ -100,20 +115,20 @@ fn build(ops: &[GenOp]) -> Cdfg {
     b.finish().expect("generated cdfg is valid")
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 24, // each case maps, assembles and simulates twice
-        .. ProptestConfig::default()
-    })]
-
-    #[test]
-    fn decoded_matches_reference_on_random_kernels(ops in gen_ops(28)) {
-        let cdfg = build(&ops);
-        let config = CgraConfig::hom64();
-        let mapper = Mapper::new(FlowVariant::Basic.options());
-        let result = mapper.map(&cdfg, &config).expect("basic flow maps straight-line code");
-        let (binary, _) = assemble(&cdfg, &result.mapping, &config).expect("assembles");
-        let decoded = DecodedProgram::decode(&binary, &config).expect("valid binary decodes");
+#[test]
+fn decoded_matches_reference_on_random_kernels() {
+    let config = CgraConfig::hom64();
+    let mapper = Mapper::new(FlowVariant::Basic.options());
+    for (case, seed) in kernel_seeds(ROOT, CASES).into_iter().enumerate() {
+        let at = format!("case {case} (seed {seed:#x})");
+        let cdfg = build(&gen_ops(&mut SplitMix64::new(seed), 28));
+        let result = mapper
+            .map(&cdfg, &config)
+            .unwrap_or_else(|e| panic!("{at}: basic flow maps straight-line code: {e}"));
+        let (binary, _) = assemble(&cdfg, &result.mapping, &config)
+            .unwrap_or_else(|e| panic!("{at}: assembles: {e}"));
+        let decoded = DecodedProgram::decode(&binary, &config)
+            .unwrap_or_else(|e| panic!("{at}: valid binary decodes: {e}"));
 
         // Bank counts bracketing the interesting cases: the normalized
         // zero, a single bank (max conflicts), the default, and more
@@ -125,11 +140,16 @@ proptest! {
             };
             let mut mem_ref = vec![7i32; 64];
             let stats_ref = simulate_reference(&binary, &config, &mut mem_ref, options)
-                .expect("reference simulates");
+                .unwrap_or_else(|e| panic!("{at}: reference simulates: {e}"));
             let mut mem_fast = vec![7i32; 64];
-            let stats_fast = decoded.simulate(&mut mem_fast, options).expect("decoded simulates");
-            prop_assert_eq!(&stats_fast, &stats_ref, "stats diverge at {} banks", banks);
-            prop_assert_eq!(mem_fast, mem_ref, "memory diverges at {} banks", banks);
+            let stats_fast = decoded
+                .simulate(&mut mem_fast, options)
+                .unwrap_or_else(|e| panic!("{at}: decoded simulates: {e}"));
+            assert_eq!(
+                stats_fast, stats_ref,
+                "{at}: stats diverge at {banks} banks"
+            );
+            assert_eq!(mem_fast, mem_ref, "{at}: memory diverges at {banks} banks");
         }
     }
 }
