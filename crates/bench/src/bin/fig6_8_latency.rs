@@ -8,8 +8,18 @@
 //! go to the engine as one batch, so they run in parallel and each
 //! baseline compiles once; the three tables render afterwards in fixed
 //! order, so the output is byte-identical for any `--jobs` count.
+//!
+//! `--min-memory` prints instead, per kernel and flow, the smallest
+//! uniform context memory at which the kernel maps and assembles, and
+//! every larger one at which it fails (see [`cmam_bench::min_memory`]):
+//! 7 kernels x 5 flows x 61 sizes in one batch. How many of those jobs
+//! the engine had to map depends on scheduling and on the artifact
+//! store, so that count goes to stderr and stdout stays a function of
+//! the jobs.
 
 use cmam_arch::CgraConfig;
+use cmam_bench::cli::{Flag, Kind::Switch};
+use cmam_bench::min_memory::{uniform_scan, WORDS};
 use cmam_bench::{emit_table, engine, JobRequest};
 use cmam_core::FlowVariant::{self, Acmap, Cab, Ecmap};
 
@@ -19,9 +29,72 @@ const FIGURES: [(&str, FlowVariant); 3] = [
     ("Fig 8: latency, basic + ACMAP + ECMAP + CAB", Cab),
 ];
 
+/// Column heads of the `--min-memory` table, in `FlowVariant::ALL` order.
+const FLOW_HEADS: [&str; 5] = ["basic", "weighted", "ACMAP", "ECMAP", "CAB"];
+
 fn main() {
-    cmam_bench::cli::parse("fig6_8_latency", &[]);
+    let args = cmam_bench::cli::parse("fig6_8_latency", &[Flag("--min-memory", Switch)]);
     let _obs = cmam_bench::obs_session("fig6_8_latency");
+    if args.on("--min-memory") {
+        min_memory();
+    } else {
+        figures();
+    }
+}
+
+fn min_memory() {
+    let specs = cmam_kernels::all();
+    let before = engine().stats();
+    let scans = uniform_scan(engine(), &specs);
+    let after = engine().stats();
+    println!("# Smallest uniform context memory (words per tile) that maps and assembles\n");
+    let mut heads = vec!["Kernel"];
+    heads.extend(FLOW_HEADS);
+    let rows: Vec<Vec<String>> = scans
+        .chunks(FLOW_HEADS.len())
+        .map(|flows| {
+            let mut row = vec![flows[0].kernel.clone()];
+            row.extend(flows.iter().map(|s| match s.min {
+                Some(w) => w.to_string(),
+                None => "none".to_owned(),
+            }));
+            row
+        })
+        .collect();
+    emit_table(&heads, &rows);
+    println!("\nFailures above the minimum:");
+    let mut breaks = 0;
+    for scan in scans.iter().filter(|s| !s.fails_above.is_empty()) {
+        let sizes: Vec<String> = scan.fails_above.iter().map(usize::to_string).collect();
+        println!(
+            "  {} / {}: W = {}",
+            scan.kernel,
+            scan.flow,
+            sizes.join(", ")
+        );
+        breaks += scan.fails_above.len();
+    }
+    println!(
+        "\n({} jobs: {} kernels x {} flows x W = {}..={} on a uniform 4x4 array; \
+         {breaks} sizes fail above their minimum)",
+        specs.len() * FLOW_HEADS.len() * WORDS.count(),
+        specs.len(),
+        FLOW_HEADS.len(),
+        WORDS.start(),
+        WORDS.end(),
+    );
+    let executed = after.executed - before.executed;
+    let in_regions = after.region_hits - before.region_hits;
+    eprintln!(
+        "min-memory: {} jobs submitted, {} maps run, {in_regions} answered inside an earlier \
+         map's region, {} answered by the memo table or the artifact store",
+        after.submitted - before.submitted,
+        executed - in_regions,
+        (after.memory_hits - before.memory_hits) + (after.disk_hits - before.disk_hits),
+    );
+}
+
+fn figures() {
     let specs = cmam_kernels::all();
     let hom64 = CgraConfig::hom64();
     let configs = [CgraConfig::hom32(), CgraConfig::het1(), CgraConfig::het2()];

@@ -10,7 +10,14 @@
 //!   reference interpreter's (the generated spec's `expected`).
 //!
 //! Any divergence prints a one-line repro command and the process exits
-//! nonzero. Everything is derived from one root seed (default
+//! nonzero. So does a map failure of a flow that ignores context memory:
+//! such a flow fails only on routing or symbol commits, which is a mapper
+//! defect on any configuration. A memory-aware flow's map failure is a
+//! `maperr` — the kernel may not fit the configuration's context memory —
+//! and the summary counts those on HOM64, where every kernel should fit,
+//! apart from those on the constrained HET1/HET2.
+//!
+//! Everything is derived from one root seed (default
 //! [`cmam_bench::gen::DEFAULT_GEN_SEED`]), so a CI failure replays locally with the printed
 //! command and nothing else.
 //!
@@ -76,6 +83,13 @@ struct JobOutcome {
     failure: Option<String>,
 }
 
+/// Whether a map failure of `variant` is an acceptable `maperr` rather
+/// than a mapper defect: only a flow that prunes on context memory may
+/// fail for lack of it.
+fn map_failure_is_maperr(variant: FlowVariant) -> bool {
+    variant.options().memory_aware()
+}
+
 /// Runs one differential job; `failure` is `Some` on any divergence.
 fn run_job(spec: &KernelSpec, variant: FlowVariant, config: &CgraConfig) -> JobOutcome {
     let fail = |what: String| JobOutcome {
@@ -88,13 +102,14 @@ fn run_job(spec: &KernelSpec, variant: FlowVariant, config: &CgraConfig) -> JobO
         Ok(r) => r.mapping,
         // An acceptable outcome (a kernel can exceed a constrained
         // config's context memory), but not a verified differential job.
-        Err(_) => {
+        Err(_) if map_failure_is_maperr(variant) => {
             return JobOutcome {
                 verified: false,
                 maperr: true,
                 failure: None,
             }
         }
+        Err(e) => return fail(format!("a memory-unaware flow failed to map: {e}")),
     };
 
     let (binary, _report) = match assemble(&spec.cdfg, &mapping, config) {
@@ -192,7 +207,8 @@ fn main() -> ExitCode {
     let matrix = job_matrix();
     let mut jobs = 0usize;
     let mut verified = 0usize;
-    let mut maperrs = 0usize;
+    // Map failures of memory-aware flows: on HOM64, elsewhere.
+    let (mut maperrs_hom64, mut maperrs_constrained) = (0usize, 0usize);
     let mut failures = 0usize;
 
     for (params, seed) in &plan {
@@ -213,7 +229,11 @@ fn main() -> ExitCode {
                 kernel_ok += 1;
             }
             if outcome.maperr {
-                maperrs += 1;
+                if config.name() == "HOM64" {
+                    maperrs_hom64 += 1;
+                } else {
+                    maperrs_constrained += 1;
+                }
                 kernel_maperr += 1;
             }
             if args.on("--verbose") {
@@ -239,8 +259,9 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "gen_suite: {jobs} jobs, {verified} verified, {maperrs} maperr, {failures} FAILED \
-         (seed {:#x}, count {}, profile {})",
+        "gen_suite: {jobs} jobs, {verified} verified, {} maperr ({maperrs_hom64} on HOM64, \
+         {maperrs_constrained} on HET1/HET2), {failures} FAILED (seed {:#x}, count {}, profile {})",
+        maperrs_hom64 + maperrs_constrained,
         suite.seed,
         plan.len(),
         suite.profile
@@ -254,4 +275,52 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_memory_aware_flows_may_fail_to_map() {
+        assert!(!map_failure_is_maperr(FlowVariant::Basic));
+        assert!(!map_failure_is_maperr(FlowVariant::Weighted));
+        for aware in [FlowVariant::Acmap, FlowVariant::Ecmap, FlowVariant::Cab] {
+            assert!(map_failure_is_maperr(aware), "{aware}");
+        }
+        // Every memory-unaware job of the matrix counts its map failure
+        // as a defect.
+        for (variant, config) in job_matrix() {
+            assert_eq!(
+                map_failure_is_maperr(variant),
+                variant == FlowVariant::Cab,
+                "{variant}@{}",
+                config.name()
+            );
+        }
+    }
+
+    #[test]
+    fn a_basic_flow_map_failure_fails_the_job_with_its_reason() {
+        // Two-word memories leave the basic flow's mapping unchanged, so
+        // shrink the register files instead until binding cannot route.
+        let spec = cmam_kernels::fir::spec();
+        let starved = CgraConfig::builder(4, 4)
+            .name("STARVED")
+            .rf_words(1)
+            .crf_words(1)
+            .build()
+            .expect("valid");
+        let outcome = run_job(&spec, FlowVariant::Basic, &starved);
+        assert!(!outcome.verified && !outcome.maperr);
+        let why = outcome
+            .failure
+            .expect("a basic-flow map failure is a defect");
+        assert!(
+            why.starts_with("a memory-unaware flow failed to map"),
+            "{why}"
+        );
+        let outcome = run_job(&spec, FlowVariant::Cab, &starved);
+        assert!(outcome.maperr && outcome.failure.is_none());
+    }
 }

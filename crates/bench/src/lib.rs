@@ -26,6 +26,7 @@ use std::sync::OnceLock;
 
 pub mod cli;
 pub mod gen;
+pub mod min_memory;
 pub mod obs_session;
 
 pub use gen::GenCli;

@@ -64,13 +64,14 @@ impl ObsSession {
         let temperature = temperature(&stats);
         Some(format!(
             "{}: engine cache: {} submitted, {} dedup, {} mem hits, {} disk hits, \
-             {} executed ({temperature})",
+             {} executed, {} of them not mapped (in a certified region) ({temperature})",
             self.name,
             stats.submitted,
             stats.deduped,
             stats.memory_hits,
             stats.disk_hits,
             stats.executed,
+            stats.region_hits,
         ))
     }
 

@@ -18,6 +18,7 @@
 use crate::options::{MapperOptions, Traversal};
 use crate::partial::{FlowState, MapCtx, MapPre, Partial};
 use crate::prune::stochastic_prune_by;
+use crate::region::CmRegion;
 use crate::schedule::priority_order;
 use cmam_arch::{CgraConfig, TileId};
 use cmam_cdfg::analysis::{forward_order, weighted_order, DepGraph};
@@ -191,6 +192,22 @@ pub struct MapResult {
     pub mapping: KernelMapping,
     /// Search statistics.
     pub stats: MapStats,
+}
+
+/// One map with everything it certifies: the result, its search
+/// statistics (kept on failure too) and the context-memory region its
+/// decisions hold for. Every configuration that differs from the mapped
+/// one only in context-memory sizes inside [`region`](Self::region) maps
+/// to this same result and these same statistics (see
+/// [`crate::region`]).
+#[derive(Debug, Clone)]
+pub struct CertifiedMap {
+    /// The mapping, ready for `cmam_isa::assemble`, or why there is none.
+    pub result: Result<KernelMapping, MapError>,
+    /// Search statistics.
+    pub stats: MapStats,
+    /// Per tile, the context-memory sizes the result holds for.
+    pub region: CmRegion,
 }
 
 /// The mapping engine. One instance is reusable across kernels and
@@ -382,19 +399,32 @@ impl Mapper {
     /// when the context-memory constraints cannot be met (memory-aware
     /// flows only).
     pub fn map(&self, cdfg: &Cdfg, config: &CgraConfig) -> Result<MapResult, MapError> {
+        let CertifiedMap { result, stats, .. } = self.map_certified(cdfg, config);
+        result.map(|mapping| MapResult { mapping, stats })
+    }
+
+    /// [`Mapper::map`], returning its statistics on failure too and the
+    /// context-memory region its result holds for.
+    pub fn map_certified(&self, cdfg: &Cdfg, config: &CgraConfig) -> CertifiedMap {
         let _span = cmam_obs::span!("map", blocks = cdfg.num_blocks() as u64);
         let mut stats = MapStats::default();
         let mut stages = StageNs::default();
-        let result = self.map_impl(cdfg, config, &mut stats, &mut stages);
+        let pre = MapPre::new(config);
+        let result = self.map_impl(cdfg, config, &pre, &mut stats, &mut stages);
         stats.flush_metrics(result.is_err());
         stages.flush_metrics();
-        result.map(|mapping| MapResult { mapping, stats })
+        CertifiedMap {
+            result,
+            stats,
+            region: pre.region(),
+        }
     }
 
     fn map_impl(
         &self,
         cdfg: &Cdfg,
         config: &CgraConfig,
+        pre: &MapPre,
         stats: &mut MapStats,
         stages: &mut StageNs,
     ) -> Result<KernelMapping, MapError> {
@@ -405,7 +435,6 @@ impl Mapper {
             Traversal::Weighted => weighted_order(cdfg),
         };
         let ntiles = config.geometry().num_tiles();
-        let pre = MapPre::new(config);
         let mut state = FlowState::new(ntiles);
         let mut rng = StdRng::seed_from_u64(self.options.seed);
         let mut blocks: Vec<Option<cmam_isa::BlockMapping>> = vec![None; cdfg.num_blocks()];
@@ -422,7 +451,7 @@ impl Mapper {
                 config,
                 options: &self.options,
                 reserve: order.len() - 1 - pos,
-                pre: &pre,
+                pre,
             };
             let bm = self.map_block(
                 &ctx,

@@ -58,10 +58,12 @@ pub mod flow;
 pub mod options;
 pub mod partial;
 pub mod prune;
+pub mod region;
 pub mod schedule;
 
-pub use flow::{MapError, MapResult, MapStats, Mapper};
+pub use flow::{CertifiedMap, MapError, MapResult, MapStats, Mapper};
 pub use options::{FlowVariant, MapperOptions, Traversal};
 pub use partial::{MapPre, Partial};
 pub use prune::{acmap_filter, ecmap_filter, stochastic_prune, stochastic_prune_by};
+pub use region::CmRegion;
 pub use schedule::priority_order;

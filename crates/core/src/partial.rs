@@ -65,6 +65,7 @@
 //! that enter the next population (see `flow.rs`).
 
 use crate::options::MapperOptions;
+use crate::region::{CmRegion, RegionLog};
 use cmam_arch::{CgraConfig, TileId};
 use cmam_cdfg::analysis::DepGraph;
 use cmam_cdfg::{BlockId, Cdfg, OpId, SymbolId, ValueId, ValueKind};
@@ -72,10 +73,12 @@ use cmam_isa::{BlockMapping, OperandSource, PlacedMove, PlacedOp};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
-/// Immutable per-`map()` precomputation: the torus neighbourhoods in the
-/// two orders the binder consumes, all-pairs hop distances, the
-/// home-pinning probe orders and the per-tile resources, so the hot loop
-/// never re-derives (or re-allocates) them per call.
+/// Per-`map()` precomputation: the torus neighbourhoods in the two orders
+/// the binder consumes, all-pairs hop distances, the home-pinning probe
+/// orders and the per-tile resources, so the hot loop never re-derives
+/// (or re-allocates) them per call. The one mutable part is the log of
+/// the context-memory region the map's capacity comparisons certify
+/// ([`MapCtx::fits`]).
 #[derive(Debug, Clone)]
 pub struct MapPre {
     ntiles: usize,
@@ -93,8 +96,10 @@ pub struct MapPre {
     /// tiles in — the tile, its neighbours in direction order, then every
     /// other tile by `(distance, id)`.
     pin_order: Vec<TileId>,
-    /// Context-memory words per tile.
+    /// Context-memory words per tile, read only by [`MapCtx::fits`].
     cm_words: Vec<usize>,
+    /// The region those reads certify so far.
+    region: RegionLog,
     /// Register-file words per tile.
     rf_words: Vec<usize>,
     /// Constant-register-file words per tile.
@@ -147,6 +152,7 @@ impl MapPre {
             dist,
             pin_order,
             cm_words: tiles().map(|c| c.cm_words).collect(),
+            region: RegionLog::new(n),
             rf_words: tiles().map(|c| c.rf_words).collect(),
             crf_words: tiles().map(|c| c.crf_words).collect(),
             has_lsu: tiles().map(|c| c.has_lsu).collect(),
@@ -163,6 +169,12 @@ impl MapPre {
     #[inline]
     pub(crate) fn has_lsu(&self, tile: TileId) -> bool {
         self.has_lsu[tile.0]
+    }
+
+    /// The context-memory region every [`MapCtx::fits`] outcome so far
+    /// holds for.
+    pub(crate) fn region(&self) -> CmRegion {
+        self.region.region()
     }
 
     /// The home-pinning probe order for a symbol first used at
@@ -192,10 +204,15 @@ pub struct MapCtx<'a> {
 }
 
 impl<'a> MapCtx<'a> {
-    /// Effective context capacity of `tile` for the block being mapped.
+    /// Whether `words` context words fit `tile` for the block being
+    /// mapped: `words ≤ cm_words − reserve`, saturating at zero. The
+    /// mapper's only read of `cm_words`; the outcome narrows the map's
+    /// [`CmRegion`] (see [`crate::region`]).
     #[inline]
-    pub fn capacity(&self, tile: TileId) -> usize {
-        self.pre.cm_words[tile.0].saturating_sub(self.reserve)
+    pub fn fits(&self, tile: TileId, words: usize) -> bool {
+        let fits = words <= self.pre.cm_words[tile.0].saturating_sub(self.reserve);
+        self.pre.region.record(tile, words, self.reserve, fits);
+        fits
     }
 }
 
@@ -1092,7 +1109,7 @@ impl Partial {
     /// CAB blacklist test (Section III-D.4): the tile cannot take any
     /// further instruction without overflowing its context memory.
     pub fn blacklisted(&self, ctx: &MapCtx<'_>, tile: TileId) -> bool {
-        self.ecmap_words(tile) >= ctx.capacity(tile)
+        !ctx.fits(tile, self.ecmap_words(tile) + 1)
     }
 
     /// The parent half of the incremental ACMAP/ECMAP verdicts, taken at
@@ -1106,15 +1123,14 @@ impl Partial {
         };
         for t in 0..self.instr.len() {
             let tile = TileId(t);
-            let cap = ctx.capacity(tile);
-            if ctx.options.acmap && self.acmap_words(tile) > cap {
+            if ctx.options.acmap && !ctx.fits(tile, self.acmap_words(tile)) {
                 base.acmap_ok = false;
             }
             if ctx.options.ecmap {
                 let words = self.ecmap_words(tile);
-                if words > cap {
+                if !ctx.fits(tile, words) {
                     base.ecmap_ok = false;
-                } else if words == cap {
+                } else if !ctx.fits(tile, words + 1) {
                     // A full tile the trial leaves alone still overflows
                     // once the frontier grows it one more idle run: the
                     // trailing run of a busy tile, the leading run of an
@@ -1153,13 +1169,13 @@ impl Partial {
             || (base.acmap_ok
                 && self
                     .touched_since(cp)
-                    .all(|t| self.acmap_words(t) <= ctx.capacity(t)));
+                    .all(|t| ctx.fits(t, self.acmap_words(t))));
         let ecmap_ok = !ctx.options.ecmap
             || (base.ecmap_ok
                 && self.frontier < base.flip_at
                 && self
                     .touched_since(cp)
-                    .all(|t| self.ecmap_words(t) <= ctx.capacity(t)));
+                    .all(|t| ctx.fits(t, self.ecmap_words(t))));
         (acmap_ok, ecmap_ok)
     }
 
@@ -1877,7 +1893,7 @@ impl Partial {
         self.length = self.frontier.max(1);
         if ctx.options.memory_aware() {
             for t in (0..self.instr.len()).map(TileId) {
-                if self.exact_words(t, self.length) > ctx.capacity(t) {
+                if !ctx.fits(t, self.exact_words(t, self.length)) {
                     return false;
                 }
             }

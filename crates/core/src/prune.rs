@@ -28,7 +28,7 @@ pub fn acmap_filter(pool: &mut Vec<Partial>, ctx: &MapCtx<'_>) -> usize {
         ctx.config
             .geometry()
             .tiles()
-            .all(|t| p.acmap_words(t) <= ctx.capacity(t))
+            .all(|t| ctx.fits(t, p.acmap_words(t)))
     });
     before - pool.len()
 }
@@ -41,7 +41,7 @@ pub fn ecmap_filter(pool: &mut Vec<Partial>, ctx: &MapCtx<'_>) -> usize {
         ctx.config
             .geometry()
             .tiles()
-            .all(|t| p.ecmap_words(t) <= ctx.capacity(t))
+            .all(|t| ctx.fits(t, p.ecmap_words(t)))
     });
     before - pool.len()
 }

@@ -2,7 +2,7 @@
 
 use crate::fingerprint::{Fingerprint, Fnv64};
 use cmam_arch::CgraConfig;
-use cmam_core::{FlowVariant, Mapper, MapperOptions};
+use cmam_core::{CertifiedMap, CmRegion, FlowVariant, MapStats, Mapper, MapperOptions};
 use cmam_isa::{AsmReport, CgraBinary};
 use cmam_kernels::KernelSpec;
 use cmam_sim::{simulate, SimOptions, SimStats};
@@ -22,6 +22,9 @@ pub struct RunOutcome {
     /// Wall-clock mapping time. For a cache hit this is the time measured
     /// when the artifact was first produced, not the (near-zero) lookup
     /// time — so compile-time experiments stay reproducible across runs.
+    /// A job the engine answers inside the context-memory region of an
+    /// earlier map (see [`cmam_core::region`]) keeps that map's time the
+    /// same way.
     pub compile_time: Duration,
     /// Wall-clock assembly time (same cache-hit caveat as
     /// [`RunOutcome::compile_time`]).
@@ -211,36 +214,92 @@ impl<'a> JobRequest<'a> {
 /// [`MapperOptions::seed`]), which is what makes parallel execution and
 /// content-addressed memoisation sound.
 pub fn execute(req: &JobRequest<'_>) -> JobResult {
+    execute_certified(req).0
+}
+
+/// [`execute`], plus what its map certified: the context-memory region
+/// the map's result holds for and its search statistics.
+pub(crate) fn execute_certified(req: &JobRequest<'_>) -> (JobResult, (CmRegion, MapStats)) {
     let _span = cmam_obs::span!("job");
     let mapper = Mapper::new(req.options.clone());
     let t0 = Instant::now();
-    let map_result = mapper.map(&req.spec.cdfg, req.config);
+    let CertifiedMap {
+        result,
+        stats,
+        region,
+    } = mapper.map_certified(&req.spec.cdfg, req.config);
     let compile_time = t0.elapsed();
     // Per-phase latency histograms, fed from the wall times this function
     // already measures (so tracing on/off changes nothing here).
     cmam_obs::histogram!("phase.map_us").record(compile_time.as_micros() as u64);
     let fail = |stage, message: String| JobFailure::pipeline(stage, message, compile_time);
-    let result = match map_result {
-        Ok(r) => r,
-        Err(e) => return Err(fail(FailStage::Map, e.to_string())),
+    let mapping = match result {
+        Ok(mapping) => mapping,
+        Err(e) => return (Err(fail(FailStage::Map, e.to_string())), (region, stats)),
     };
     let t1 = Instant::now();
-    let (binary, report) = cmam_isa::assemble(&req.spec.cdfg, &result.mapping, req.config)
-        .map_err(|e| fail(FailStage::Assemble, e.to_string()))?;
+    let assembled = cmam_isa::assemble(&req.spec.cdfg, &mapping, req.config);
     let assemble_time = t1.elapsed();
-    cmam_obs::histogram!("phase.assemble_us").record(assemble_time.as_micros() as u64);
+    let result = assembled
+        .map_err(|e| fail(FailStage::Assemble, e.to_string()))
+        .and_then(|(binary, report)| {
+            cmam_obs::histogram!("phase.assemble_us").record(assemble_time.as_micros() as u64);
+            let times = (compile_time, assemble_time);
+            run_binary(req, binary, report, times, stats.clone())
+        });
+    (result, (region, stats))
+}
+
+/// Answers `req` with the map of an earlier job whose certified
+/// context-memory region holds `req`'s memories, which by construction
+/// is the map `req` would compute (see [`crate::region`]): the producer's
+/// map failure, or its binary, which assembles for `req.config` exactly
+/// when the producer's report passes [`cmam_isa::check_fit`] there, then
+/// simulated and checked like any job's (`req.spec.mem` may differ from
+/// the producer's). The outcome keeps the producer's compile and assembly
+/// times, the cache-hit convention of [`RunOutcome::compile_time`], and
+/// `stats`, the producer's map statistics, are replayed into the
+/// `mapper.*` counters as if the map had run here.
+pub(crate) fn execute_in_region(
+    req: &JobRequest<'_>,
+    producer: &JobResult,
+    stats: &MapStats,
+) -> JobResult {
+    let _span = cmam_obs::span!("job");
+    stats.flush_metrics(producer.is_err());
+    let produced = producer.as_ref().map_err(Clone::clone)?;
+    let times = (produced.compile_time, produced.assemble_time);
+    cmam_isa::check_fit(&produced.report, req.config)
+        .map_err(|e| JobFailure::pipeline(FailStage::Assemble, e.to_string(), times.0))?;
+    run_binary(
+        req,
+        produced.binary.clone(),
+        produced.report.clone(),
+        times,
+        stats.clone(),
+    )
+}
+
+/// The back half of a job: simulates `binary` on `req.spec.mem` and
+/// checks the final memory. `times` are the compile and assembly times.
+fn run_binary(
+    req: &JobRequest<'_>,
+    binary: CgraBinary,
+    report: AsmReport,
+    times: (Duration, Duration),
+    map_stats: MapStats,
+) -> JobResult {
+    let (compile_time, assemble_time) = times;
+    let fail = |message: String| JobFailure::pipeline(FailStage::Execution, message, compile_time);
     let mut mem = req.spec.mem.clone();
     let t2 = Instant::now();
     let sim = simulate(&binary, req.config, &mut mem, SimOptions::default())
-        .map_err(|e| fail(FailStage::Execution, e.to_string()))?;
+        .map_err(|e| fail(e.to_string()))?;
     let sim_time = t2.elapsed();
     cmam_obs::histogram!("phase.sim_us").record(sim_time.as_micros() as u64);
-    req.spec.check(&mem).map_err(|(i, got, want)| {
-        fail(
-            FailStage::Execution,
-            format!("mem[{i}] = {got}, want {want}"),
-        )
-    })?;
+    req.spec
+        .check(&mem)
+        .map_err(|(i, got, want)| fail(format!("mem[{i}] = {got}, want {want}")))?;
     Ok(RunOutcome {
         cycles: sim.cycles,
         sim,
@@ -249,7 +308,7 @@ pub fn execute(req: &JobRequest<'_>) -> JobResult {
         compile_time,
         assemble_time,
         sim_time,
-        map_stats: result.stats,
+        map_stats,
     })
 }
 
@@ -259,24 +318,27 @@ pub fn execute(req: &JobRequest<'_>) -> JobResult {
 /// every attempt is quarantined as a [`FailStage::Panic`] failure.
 pub const MAX_JOB_ATTEMPTS: u32 = 4;
 
-/// Runs [`execute`] with panic isolation, bounded retry + backoff, and
-/// quarantine: a panicking attempt is caught, counted and retried up to
-/// [`MAX_JOB_ATTEMPTS`] times with a small exponential backoff; a job
-/// that panics on every attempt settles as a structured
-/// [`FailStage::Panic`] failure instead of unwinding the batch. Returns
-/// the result plus the number of attempts consumed.
+/// Runs one attempt function of a job with panic isolation, bounded
+/// retry + backoff, and quarantine: a panicking attempt is caught,
+/// counted and retried up to [`MAX_JOB_ATTEMPTS`] times with a small
+/// exponential backoff; a job that panics on every attempt settles as a
+/// structured [`FailStage::Panic`] failure instead of unwinding the
+/// batch. Returns the result plus the number of attempts consumed.
 ///
 /// `key` is the job's content hash; it salts the `job.panic` /
 /// `job.delay` fault sites so chaos schedules are stable per job, not
 /// per batch position.
-pub fn execute_with_recovery(req: &JobRequest<'_>, key: u64) -> (JobResult, u32) {
+pub(crate) fn with_recovery(
+    key: u64,
+    mut attempt_job: impl FnMut() -> JobResult,
+) -> (JobResult, u32) {
     let mut attempt: u32 = 0;
     loop {
         attempt += 1;
         cmam_fault::delay("job.delay", key.wrapping_add(u64::from(attempt)));
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             cmam_fault::panic_if("job.panic", key, attempt);
-            execute(req)
+            attempt_job()
         }));
         match outcome {
             Ok(result) => return (result, attempt),

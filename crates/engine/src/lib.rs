@@ -15,7 +15,12 @@
 //! * **on-disk cache** — results are persisted as length-prefixed binary
 //!   artifacts under `target/cmam-cache/` (override with
 //!   `CMAM_CACHE_DIR`), so repeated sweeps across processes are
-//!   near-free.
+//!   near-free;
+//! * **context-memory regions** — every map certifies the memory sizes
+//!   its decisions hold for, and a later job that differs only in memory
+//!   sizes inside such a region reuses that map: it re-checks the fit,
+//!   simulates and checks, but does not map (see [`cmam_core::region`]
+//!   and [`EngineStats::region_hits`]).
 //!
 //! Batches execute on the process-wide persistent [`cmam_pool`], one job
 //! per worker; each job maps on the worker thread that runs it.
@@ -43,14 +48,12 @@ pub mod cache;
 pub mod dse;
 pub mod fingerprint;
 pub mod job;
+mod region;
 pub mod search;
 
 pub use batch_sim::{BatchSimOutcome, BatchSimRequest, BatchSimResult};
 pub use fingerprint::{Fingerprint, Fnv64, FORMAT_VERSION};
-pub use job::{
-    execute, execute_with_recovery, smoke_matrix, FailStage, JobFailure, JobRequest, JobResult,
-    RunOutcome,
-};
+pub use job::{execute, smoke_matrix, FailStage, JobFailure, JobRequest, JobResult, RunOutcome};
 pub use search::{run_search, ConfigEval, ConfigStatus, SearchOptions, SearchResult, SearchStats};
 
 use cache::DiskCache;
@@ -58,6 +61,7 @@ use cmam_arch::CgraConfig;
 use cmam_core::MapperOptions;
 use cmam_kernels::KernelSpec;
 use cmam_sim::DecodedProgram;
+use region::RegionTable;
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -153,6 +157,12 @@ pub struct EngineStats {
     pub disk_hits: u64,
     /// Jobs actually executed (mapped, assembled, simulated).
     pub executed: u64,
+    /// Executed jobs that did not map: the engine answered them inside
+    /// the context-memory region of an earlier map (see the crate docs).
+    /// At `jobs > 1` which jobs these are, and so this count, depends on
+    /// scheduling; the results do not. It therefore has no `engine.*`
+    /// metrics counter, whose totals are promised deterministic.
+    pub region_hits: u64,
     /// Panicking job attempts that were retried (attempts beyond the
     /// first, across all executed jobs).
     pub retries: u64,
@@ -197,6 +207,39 @@ struct PendingJob {
     options: MapperOptions,
 }
 
+/// Executes one job on a pool worker, with panic recovery: inside the
+/// region of an earlier map under the same map key when one holds the
+/// job's memories, otherwise mapped, its region published for later
+/// jobs. Returns the job's memo entry, the attempts it took and whether a
+/// region answered it.
+fn run_pending(j: &PendingJob, regions: &RegionTable) -> (Arc<Memo>, u32, bool) {
+    let request = JobRequest {
+        spec: &j.spec,
+        config: &j.config,
+        options: j.options.clone(),
+    };
+    let map_key = region::map_key(&request);
+    if let Some((producer, stats)) = regions.find(map_key, &j.config) {
+        let (result, attempts) = job::with_recovery(j.key, || {
+            job::execute_in_region(&request, &producer.result, &stats)
+        });
+        return (Memo::new(result), attempts, true);
+    }
+    // What the last attempt's map certified (`None` if every attempt
+    // panicked before its map returned).
+    let mut certificate = None;
+    let (result, attempts) = job::with_recovery(j.key, || {
+        let (result, certified) = job::execute_certified(&request);
+        certificate = Some(certified);
+        result
+    });
+    let memo = Memo::new(result);
+    if let Some((region, stats)) = certificate {
+        regions.publish(map_key, region, stats, &memo);
+    }
+    (memo, attempts, false)
+}
+
 /// The batch compilation engine. One instance per process is the normal
 /// deployment (see `cmam_bench::engine()`); all methods take `&self` and
 /// are thread-safe.
@@ -209,6 +252,9 @@ pub struct Engine {
     /// coarse (one per sweep, not one per kernel-config pair), so a
     /// single unsharded map is enough.
     batch_memo: Mutex<HashMap<u64, BatchSimOutcome>>,
+    /// The regions certified by this engine's maps; a fresh engine starts
+    /// with none.
+    regions: Arc<RegionTable>,
     stats: Mutex<EngineStats>,
 }
 
@@ -226,6 +272,7 @@ impl Engine {
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
             batch_memo: Mutex::new(HashMap::new()),
+            regions: Arc::default(),
             stats: Mutex::new(EngineStats::default()),
         }
     }
@@ -324,41 +371,39 @@ impl Engine {
         );
         let job_list = Arc::clone(&jobs);
         let disk = Arc::clone(&self.disk);
+        let regions = Arc::clone(&self.regions);
         // `try_run_indexed`: a job panic is retried and quarantined
-        // inside `execute_with_recovery`, and even a panic that escapes
+        // inside `job::with_recovery`, and even a panic that escapes
         // that net (a bug, or an injected worker fault) only costs its
         // own slot — the batch still completes with N-1 real results.
         let computed = cmam_pool::global().try_run_indexed(jobs.len(), workers, move |p| {
             let j = &job_list[p];
-            let request = JobRequest {
-                spec: &j.spec,
-                config: &j.config,
-                options: j.options.clone(),
-            };
-            let (result, attempts) = job::execute_with_recovery(&request, j.key);
-            disk.store(j.key, &result);
-            (result, attempts)
+            let done = run_pending(j, &regions);
+            disk.store(j.key, &done.0.result);
+            done
         });
         for (j, slot) in jobs.iter().zip(computed) {
-            let (result, attempts) = match slot {
-                Ok(pair) => pair,
-                // Defense in depth: `execute_with_recovery` already
+            let (memo, attempts, in_region) = match slot {
+                Ok(done) => done,
+                // Defense in depth: `job::with_recovery` already
                 // quarantines panics, so an escaped one means the
                 // recovery wrapper itself died; quarantine it the same
                 // way rather than aborting the batch.
                 Err(p) => (
-                    Err(JobFailure::panicked(
+                    Memo::new(Err(JobFailure::panicked(
                         format!("escaped job recovery: {}", p.message()),
                         1,
-                    )),
+                    ))),
                     1,
+                    false,
                 ),
             };
             batch_stats.retries += u64::from(attempts.saturating_sub(1));
-            if matches!(&result, Err(f) if f.stage == FailStage::Panic) {
+            batch_stats.region_hits += u64::from(in_region);
+            if matches!(&memo.result, Err(f) if f.stage == FailStage::Panic) {
                 batch_stats.quarantined += 1;
             }
-            lock_recover(self.memo_shard(j.key)).insert(j.key, Memo::new(result));
+            lock_recover(self.memo_shard(j.key)).insert(j.key, memo);
         }
         {
             let mut stats = lock_recover(&self.stats);
@@ -367,6 +412,7 @@ impl Engine {
             stats.memory_hits += batch_stats.memory_hits;
             stats.disk_hits += batch_stats.disk_hits;
             stats.executed += batch_stats.executed;
+            stats.region_hits += batch_stats.region_hits;
             stats.retries += batch_stats.retries;
             stats.quarantined += batch_stats.quarantined;
         }

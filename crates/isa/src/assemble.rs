@@ -659,15 +659,9 @@ pub fn assemble(
         let (ops, moves, _) = per_tile[i];
         debug_assert!(words >= ops + moves, "tile {i}: word accounting broke");
         per_tile[i].2 = words - ops - moves;
-        let cap = config.tile(TileId(i)).cm_words;
-        if words > cap {
-            return Err(AssembleError::ContextOverflow {
-                tile: TileId(i),
-                need: words,
-                capacity: cap,
-            });
-        }
     }
+    let report = AsmReport { per_tile };
+    check_fit(&report, config)?;
 
     let terminators = cdfg
         .block_ids()
@@ -693,7 +687,35 @@ pub fn assemble(
         terminators,
         entry: cdfg.entry().0,
     };
-    Ok((binary, AsmReport { per_tile }))
+    Ok((binary, report))
+}
+
+/// The Section III-C fit check `n(Mo) + n(pnop) ≤ n(I)`: the first tile
+/// whose context words exceed its context memory is a
+/// [`AssembleError::ContextOverflow`].
+///
+/// [`assemble`] reads `cm_words` only here, once every other check has
+/// passed and the words are counted. So a mapping that assembles for one
+/// configuration assembles to the same binary and report for every
+/// configuration that differs from it only in context-memory sizes,
+/// exactly when its report passes this check there.
+///
+/// # Errors
+///
+/// The overflow of the lowest-numbered tile that does not fit.
+pub fn check_fit(report: &AsmReport, config: &CgraConfig) -> Result<(), AssembleError> {
+    for i in 0..report.per_tile.len() {
+        let tile = TileId(i);
+        let (need, capacity) = (report.words(tile), config.tile(tile).cm_words);
+        if need > capacity {
+            return Err(AssembleError::ContextOverflow {
+                tile,
+                need,
+                capacity,
+            });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -811,6 +833,11 @@ mod tests {
             .unwrap();
         let err = assemble(&cdfg, &tiny_mapping(v, 0, 1), &cfg).unwrap_err();
         assert!(matches!(err, AssembleError::ContextOverflow { .. }));
+        // The same error as the fit check of the report the mapping
+        // assembles to on a memory that holds it.
+        let (_, report) = assemble(&cdfg, &tiny_mapping(v, 0, 1), &CgraConfig::hom64()).unwrap();
+        assert_eq!(check_fit(&report, &cfg), Err(err));
+        assert_eq!(check_fit(&report, &CgraConfig::hom64()), Ok(()));
     }
 
     #[test]

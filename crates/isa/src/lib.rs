@@ -23,7 +23,7 @@ pub mod listing;
 pub mod mapping;
 pub mod program;
 
-pub use assemble::{assemble, AsmReport, AssembleError};
+pub use assemble::{assemble, check_fit, AsmReport, AssembleError};
 pub use instr::{Instr, Operand};
 pub use mapping::{BlockMapping, KernelMapping, OperandSource, PlacedMove, PlacedOp};
 pub use program::{CgraBinary, TileProgram};
