@@ -428,6 +428,21 @@ struct RouteVisit {
     prev_tile: u32,
     /// Cycle of the move from the previous hop.
     prev_cycle: u32,
+    /// Last cycle the copy is already counted live through (its interval
+    /// end, or the cycle of the move that wrote it); `u32::MAX` when it
+    /// never dies or the route does not ask.
+    live_end: u32,
+}
+
+/// Which copies a hop of [`Partial::route_value`] may read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum HopReads {
+    /// Any copy ready by the hop; applying the route fails when that copy
+    /// is dead by then.
+    Ready,
+    /// Only a copy that can stay live until the hop, and the goal's copy
+    /// until the consumer's read.
+    Live,
 }
 
 /// Most operands any opcode reads (`select`); validated CDFGs never
@@ -1403,7 +1418,8 @@ impl Partial {
 
     /// Makes `v` readable at `(tile, cycle)`: ensures a copy of `v` exists
     /// on `tile` or one of its neighbours, ready by `cycle`, inserting
-    /// `move` instructions if needed. Returns the source tile.
+    /// `move` instructions (whose hops read as `reads` says) if needed.
+    /// Returns the source tile.
     ///
     /// Mutates `self` on both success and failure: callers must take a
     /// [`checkpoint`](Partial::checkpoint) and
@@ -1414,6 +1430,7 @@ impl Partial {
         v: ValueId,
         tile: TileId,
         cycle: usize,
+        reads: HopReads,
     ) -> Option<TileId> {
         // Symbol reads come from the home register: seed the home copy on
         // first encounter in this block, pinning an unpinned home at the
@@ -1434,8 +1451,9 @@ impl Partial {
         if let Some(src) = self.acquire_read(ctx, v, tile, cycle) {
             return Some(src);
         }
-        let src = self.route_value(ctx, v, tile, cycle)?;
-        // The consumer's read at `cycle` must keep the routed copy alive.
+        let src = self.route_value(ctx, v, tile, cycle, reads)?;
+        // The consumer's read at `cycle` must keep the routed copy alive
+        // (a live-copy route has made room for it).
         if !self.try_extend_use(ctx, src, v, cycle) {
             return None;
         }
@@ -1445,13 +1463,24 @@ impl Partial {
 
     /// Re-routing transformation: inserts a shortest chain of moves over
     /// free slots so that a copy of `v` is readable by `(dest, need)`.
-    /// Returns the tile the consumer should read from.
+    /// Returns the tile the consumer should read from; the caller extends
+    /// that copy to `need`.
+    ///
+    /// With [`HopReads::Live`], a hop at cycle `m` reads only a copy that
+    /// can stay live until `m`: a symbol's home copy always can, an
+    /// existing copy if `m` is within its interval or its register file
+    /// has room from the interval's end to `m`, and a routed copy if there
+    /// is room from its ready cycle to `m`. The goal's copy must have room
+    /// up to `need`, so the caller's extension cannot fail. With
+    /// [`HopReads::Ready`], a hop reads any copy ready by `m`, and
+    /// applying the chain fails if that copy is dead by then.
     fn route_value(
         &mut self,
         ctx: &MapCtx<'_>,
         v: ValueId,
         dest: TileId,
         need: usize,
+        reads: HopReads,
     ) -> Option<TileId> {
         // Hop bound: each move takes one cycle and one hop, and the chain
         // needs at least one move ending next to `dest`, so a copy ready at
@@ -1465,6 +1494,7 @@ impl Partial {
         if !in_reach {
             return None;
         }
+        let live = reads == HopReads::Live;
         // BFS by move count over tiles; per tile keep the earliest ready.
         // The visited table is a stamped per-tile scratch array — no
         // hashing, no per-call allocation.
@@ -1482,11 +1512,21 @@ impl Partial {
             if (ready as usize) < need {
                 let vis = &mut self.route_visited[t.0];
                 if vis.stamp != stamp || ready < vis.ready {
+                    // A home copy has no interval: it never dies.
+                    let live_end = if live {
+                        self.intervals[t.0]
+                            .iter()
+                            .find(|iv| iv.value == v)
+                            .map_or(u32::MAX, |iv| iv.end as u32)
+                    } else {
+                        u32::MAX
+                    };
                     *vis = RouteVisit {
                         stamp,
                         ready,
                         prev_tile: u32::MAX,
                         prev_cycle: 0,
+                        live_end,
                     };
                     queue.push_back(t);
                 }
@@ -1494,7 +1534,10 @@ impl Partial {
         }
         let mut goal: Option<TileId> = None;
         'bfs: while let Some(x) = queue.pop_front() {
-            let ready = self.route_visited[x.0].ready as usize;
+            let RouteVisit {
+                ready, live_end, ..
+            } = self.route_visited[x.0];
+            let (ready, live_end) = (ready as usize, live_end as usize);
             for i in 0..ctx.pre.nbr_sorted[x.0].len() {
                 let y = ctx.pre.nbr_sorted[x.0][i];
                 if self.route_visited[y.0].stamp == stamp {
@@ -1503,17 +1546,24 @@ impl Partial {
                 if ctx.options.cab && self.blacklisted(ctx, y) {
                     continue;
                 }
-                // Earliest free slot m on y with ready <= m < need whose
-                // destination RF has room for the new copy.
+                let is_goal = ctx.pre.distance(y, dest) <= 1;
+                // Earliest free slot m on y with ready <= m < need, at which
+                // x's copy is readable, whose destination RF has room for
+                // the new copy (a live-copy goal's until `need`).
                 let mut m = ready;
                 let slot = loop {
                     if m >= need {
                         break None;
                     }
+                    // Once x's copy cannot live to m, it cannot live later.
+                    if m > live_end && !self.range_has_room(ctx, x, live_end + 1, m) {
+                        break None;
+                    }
                     if m >= ctx.options.max_schedule {
                         break None;
                     }
-                    if self.slot_free(y, m) && self.range_has_room(ctx, y, m + 1, m + 1) {
+                    let hold = if live && is_goal { need } else { m + 1 };
+                    if self.slot_free(y, m) && self.range_has_room(ctx, y, m + 1, hold) {
                         break Some(m);
                     }
                     m += 1;
@@ -1524,8 +1574,9 @@ impl Partial {
                     ready: (m + 1) as u32,
                     prev_tile: x.0 as u32,
                     prev_cycle: m as u32,
+                    live_end: if live { m as u32 } else { u32::MAX },
                 };
-                if ctx.pre.distance(y, dest) <= 1 {
+                if is_goal {
                     goal = Some(y);
                     break 'bfs;
                 }
@@ -1607,14 +1658,20 @@ impl Partial {
             if ctx.options.cab && self.blacklisted(ctx, t2) {
                 continue;
             }
-            // Check operands are resolvable at t2 without routing.
+            // Check operands are resolvable at t2 without routing, and that
+            // the CRF has room for every distinct constant they add.
             let mut sources = [OperandSource::Const(0); MAX_ARITY];
-            for (slot, &a) in sources.iter_mut().zip(&op.args) {
-                *slot = match ctx.cdfg.value(a).kind {
+            let mut new_consts = 0;
+            for (i, &a) in op.args.iter().enumerate() {
+                sources[i] = match ctx.cdfg.value(a).kind {
                     ValueKind::Const(c) => {
-                        let in_crf = self.crf[t2.0].contains(&c);
-                        if !in_crf && self.crf[t2.0].len() >= ctx.pre.crf_words[t2.0] {
-                            continue 'site;
+                        let known = self.crf[t2.0].contains(&c)
+                            || sources[..i].contains(&OperandSource::Const(c));
+                        if !known {
+                            new_consts += 1;
+                            if self.crf[t2.0].len() + new_consts > ctx.pre.crf_words[t2.0] {
+                                continue 'site;
+                            }
                         }
                         OperandSource::Const(c)
                     }
@@ -1741,7 +1798,11 @@ impl Partial {
                     OperandSource::Const(c)
                 }
                 _ => {
-                    let src = match self.ensure_readable(ctx, a, tile, cycle) {
+                    // Trial routes may read a copy that is dead by the hop
+                    // and then fail the trial. Reading only live copies
+                    // here would change which trials succeed, and so the
+                    // beam's choices: the commit rule stays in `finalize`.
+                    let src = match self.ensure_readable(ctx, a, tile, cycle, HopReads::Ready) {
                         Some(s) => s,
                         None => {
                             // Re-computing transformation, then retry.
@@ -1798,22 +1859,20 @@ impl Partial {
     }
 
     /// Completes the block: resolves symbol writes (direct-write elision
-    /// or commit moves), fixes the final schedule length, and — when the
+    /// or a commit move), fixes the final schedule length, and — when the
     /// flow is memory-aware — verifies the exact per-tile context words
-    /// against the configuration. With `park`, a commit that finds no
-    /// slot falls back to parking the value on a neighbour of the home
-    /// (`park_and_commit`). Returns `false` when the partial cannot be
-    /// completed; the state is then dirty.
-    pub fn finalize(&mut self, ctx: &MapCtx<'_>, block: BlockId, park: bool) -> bool {
-        let dfg = ctx.cdfg.dfg(block);
-        let writes: Vec<(OpId, SymbolId, ValueId)> = dfg
-            .ops()
-            .filter_map(|o| {
-                o.writes_symbol
-                    .map(|s| (o.id, s, o.result.expect("writers have results")))
-            })
-            .collect();
-        for (op_id, s, v) in writes {
+    /// against the configuration. A commit move takes the first free home
+    /// cycle, from the symbol's last old-value read on, at which the value
+    /// can be read, directly or over a route that reads only live copies:
+    /// no commit is lost to a route whose copy died before its hop.
+    /// Returns `false` when the partial cannot be completed; the state is
+    /// then dirty.
+    pub fn finalize(&mut self, ctx: &MapCtx<'_>, block: BlockId) -> bool {
+        for o in ctx.cdfg.dfg(block).ops() {
+            let Some(s) = o.writes_symbol else {
+                continue;
+            };
+            let v = o.result.expect("writers have results");
             let home = match self.homes[s.0 as usize] {
                 Some(h) => h,
                 None => {
@@ -1821,7 +1880,7 @@ impl Partial {
                     let site = self
                         .ops
                         .iter()
-                        .find(|po| po.op == op_id)
+                        .find(|po| po.op == o.id)
                         .map(|po| po.tile)
                         .expect("producer was placed");
                     match self.pin_home(ctx, s, site) {
@@ -1836,59 +1895,38 @@ impl Partial {
             if let Some(idx) = self
                 .ops
                 .iter()
-                .position(|po| po.op == op_id && po.tile == home && po.cycle >= lhr)
+                .position(|po| po.op == o.id && po.tile == home && po.cycle >= lhr)
             {
                 self.journal
                     .push(UndoOp::ClearDirectWrite { idx: idx as u32 });
                 self.ops[idx].direct_symbol_write = true;
                 continue;
             }
-            // Commit move on the home tile. Each trial mutates in place
-            // and rolls back on failure (the pre-optimization mapper
-            // cloned the whole partial per trial cycle).
-            let mut committed = false;
-            for c in lhr..ctx.options.max_schedule {
+            // Commit move on the home tile, at the first free cycle the
+            // value can be read at; a failed cycle rolls back in place.
+            let commit = (lhr..ctx.options.max_schedule).find_map(|c| {
                 if !self.slot_free(home, c) {
-                    continue;
+                    return None;
                 }
                 let cp = self.checkpoint();
-                if let Some(src) = self.acquire_read(ctx, v, home, c) {
-                    self.occupy(home, c);
-                    self.journal.push(UndoOp::PopMove);
-                    self.moves.push(PlacedMove {
-                        value: v,
-                        src_tile: src,
-                        tile: home,
-                        cycle: c,
-                        commit_symbol: Some(s),
-                    });
-                    committed = true;
-                    break;
+                let src = self.ensure_readable(ctx, v, home, c, HopReads::Live);
+                if src.is_none() {
+                    self.rollback(cp);
                 }
-                self.rollback(cp);
-                // Try routing the value into the home neighbourhood first.
-                let cp = self.checkpoint();
-                if let Some(src) = self.route_value(ctx, v, home, c) {
-                    if self.slot_free(home, c) && self.try_extend_use(ctx, src, v, c) {
-                        self.occupy(home, c);
-                        self.journal.push(UndoOp::PopMove);
-                        self.moves.push(PlacedMove {
-                            value: v,
-                            src_tile: src,
-                            tile: home,
-                            cycle: c,
-                            commit_symbol: Some(s),
-                        });
-                        committed = true;
-                        break;
-                    }
-                }
-                self.rollback(cp);
-            }
-            let committed = committed || (park && self.park_and_commit(ctx, s, v, home, lhr));
-            if !committed {
+                src.map(|src| (c, src))
+            });
+            let Some((c, src)) = commit else {
                 return false;
-            }
+            };
+            self.occupy(home, c);
+            self.journal.push(UndoOp::PopMove);
+            self.moves.push(PlacedMove {
+                value: v,
+                src_tile: src,
+                tile: home,
+                cycle: c,
+                commit_symbol: Some(s),
+            });
         }
         self.length = self.frontier.max(1);
         if ctx.options.memory_aware() {
@@ -1899,84 +1937,6 @@ impl Partial {
             }
         }
         true
-    }
-
-    /// Commits `v` to symbol `s` through a neighbour `y` of its `home`: a
-    /// move parks `v` on `y` at some cycle `m`, and the commit move reads
-    /// it there at the first free home cycle `c ≥ max(from, m + 1)`.
-    ///
-    /// The regular commit search misses this when no copy of `v` can live
-    /// until a free home slot — say a producer on the home whose write
-    /// waits for a later read of the old value while the home's register
-    /// file fills up — because [`route_value`](Partial::route_value)
-    /// moves the value at the first free slot of the first neighbour it
-    /// tries, even when the copy it reads is gone by then. Returns `false`
-    /// with the state unchanged.
-    fn park_and_commit(
-        &mut self,
-        ctx: &MapCtx<'_>,
-        s: SymbolId,
-        v: ValueId,
-        home: TileId,
-        from: usize,
-    ) -> bool {
-        let max_schedule = ctx.options.max_schedule;
-        for i in 0..ctx.pre.nbr_sorted[home.0].len() {
-            let y = ctx.pre.nbr_sorted[home.0][i];
-            // A copy on `y` itself was already tried by the regular search.
-            if (ctx.options.cab && self.blacklisted(ctx, y))
-                || self.copies_of(v).any(|(t, _)| t == y)
-            {
-                continue;
-            }
-            // The latest ready cycle of a copy a move on `y` can read.
-            let Some(latest) = self
-                .copies_of(v)
-                .filter(|&(t, _)| ctx.pre.distance(t, y) == 1)
-                .map(|(_, ready)| ready as usize)
-                .max()
-            else {
-                continue;
-            };
-            for m in 0..max_schedule {
-                if !self.slot_free(y, m) {
-                    continue;
-                }
-                let Some(c) = (from.max(m + 1)..max_schedule).find(|&c| self.slot_free(home, c))
-                else {
-                    break;
-                };
-                let cp = self.checkpoint();
-                let Some(src) = self.acquire_read(ctx, v, y, m) else {
-                    self.rollback(cp);
-                    // Every copy is ready by `latest`, so past it a
-                    // failed read means no copy lives until `m`, nor
-                    // will it later.
-                    if m >= latest {
-                        break;
-                    }
-                    continue;
-                };
-                if self.try_add_copy(ctx, y, v, m + 1) && self.try_extend_use(ctx, y, v, c) {
-                    for (tile, cycle, src_tile, commit_symbol) in
-                        [(y, m, src, None), (home, c, y, Some(s))]
-                    {
-                        self.occupy(tile, cycle);
-                        self.journal.push(UndoOp::PopMove);
-                        self.moves.push(PlacedMove {
-                            value: v,
-                            src_tile,
-                            tile,
-                            cycle,
-                            commit_symbol,
-                        });
-                    }
-                    return true;
-                }
-                self.rollback(cp);
-            }
-        }
-        false
     }
 
     /// Search cost: `(schedule extent, move count + commit debt)` —
@@ -2230,7 +2190,7 @@ mod tests {
         // Place the add on tile 3: the unpinned symbol gets pinned there.
         assert!(p.try_place_op(&ctx, ops[0], TileId(3), 0));
         assert_eq!(p.home_of(s), Some(TileId(3)));
-        assert!(p.finalize(&ctx, bb, false));
+        assert!(p.finalize(&ctx, bb));
         // Producer sits on the home tile: the write is elided into a
         // direct write, no commit move.
         let bm = p.into_block_mapping();
@@ -2263,7 +2223,7 @@ mod tests {
         // Producer on tile 10 (distance 4 from home 0); reading the symbol
         // from home needs moves, and committing back needs more.
         assert!(p.try_place_op(&ctx, ops[0], TileId(10), 4));
-        assert!(p.finalize(&ctx, bb, false));
+        assert!(p.finalize(&ctx, bb));
         let bm = p.into_block_mapping();
         let commit = bm
             .moves
@@ -2287,7 +2247,7 @@ mod tests {
         let before: Vec<usize> = (0..16).map(|i| p.ecmap_words(TileId(i))).collect();
         assert!(p.try_place_op(&ctx, ops[1], TileId(1), 3));
         assert!(p.try_place_op(&ctx, ops[2], TileId(1), 5));
-        assert!(p.finalize(&ctx, cmam_cdfg::BlockId(0), false));
+        assert!(p.finalize(&ctx, cmam_cdfg::BlockId(0)));
         for (i, &words) in before.iter().enumerate() {
             let t = TileId(i);
             assert!(
@@ -2380,7 +2340,7 @@ mod tests {
         // partial must finish exactly as an untouched one would.
         assert!(p.try_place_op(&ctx, ops[1], TileId(0), 1));
         assert!(p.try_place_op(&ctx, ops[2], TileId(0), 2));
-        assert!(p.finalize(&ctx, cmam_cdfg::BlockId(0), false));
+        assert!(p.finalize(&ctx, cmam_cdfg::BlockId(0)));
     }
 
     #[test]
@@ -2477,7 +2437,7 @@ mod tests {
         assert_semantically_equal(&recycled, &fresh);
         for p in [&mut recycled, &mut fresh] {
             assert!(p.try_place_op(&ctx, ops[2], TileId(6), 6));
-            assert!(p.finalize(&ctx, cmam_cdfg::BlockId(0), false));
+            assert!(p.finalize(&ctx, cmam_cdfg::BlockId(0)));
         }
         assert_eq!(recycled.into_block_mapping(), fresh.into_block_mapping());
     }

@@ -171,22 +171,43 @@ fn symbol_heavy_kernel_maps_with_weighted_traversal() {
     cmam_isa::assemble(&spec.cdfg, &r.mapping, &config).unwrap();
 }
 
-/// A `wide` generated kernel whose `bb1` computes symbol `g2`'s new
-/// value on its home tile before the old value's last read there, while
-/// the home's register file fills up until its first free slot: no copy
-/// lives until a commit slot, so every survivor's first finalisation
-/// fails and the block maps only by parking the value on a neighbour.
+/// Generated kernels that exposed mapper defects, each with the flow and
+/// configurations it failed on, and whether that flow must finalise
+/// every survivor of every block.
+/// - `wide`, `memory_bound` (basic and CAB), `deep` (basic): commit
+///   routes read copies that were dead by their hop, so every survivor
+///   of one block failed finalisation, and the block mapped only through
+///   a second pass that parked the value next to the symbol's home.
+///   Commit routes now read only live copies, and no survivor fails.
+/// - `branchy` (CAB): a re-computed duplicate with two new constants
+///   passed the CRF check with one free slot, and the assembler rejected
+///   the mapping ("T1 needs 17 CRF slots, has 16").
 #[test]
-fn a_commit_parks_on_a_neighbour_when_no_copy_outlives_the_home_register_file() {
-    let params = cmam_cdfg::GenParams::profile("wide").expect("known profile");
-    let spec = cmam_kernels::generated_spec(&params, 0x0f19_e5ab_5194_4538);
-    let config = CgraConfig::hom64();
-    let r = Mapper::new(MapperOptions::basic())
-        .map(&spec.cdfg, &config)
-        .expect("the parked commit maps the block");
-    assert!(
-        r.stats.finalize_failures > 0,
-        "the first finalisation pass fails"
-    );
-    cmam_isa::assemble(&spec.cdfg, &r.mapping, &config).unwrap();
+fn generated_kernels_that_exposed_mapper_defects_map_and_assemble() {
+    use FlowVariant::{Basic, Cab};
+    let hom64 = [CgraConfig::hom64()];
+    let cab = [CgraConfig::hom64(), CgraConfig::het1(), CgraConfig::het2()];
+    let cases: [(&str, u64, FlowVariant, &[CgraConfig], bool); 6] = [
+        ("wide", 0x0f19_e5ab_5194_4538, Basic, &hom64, true),
+        ("wide", 0x0f19_e5ab_5194_4538, Cab, &cab, true),
+        ("memory_bound", 0x5cb9_7956_b3df_debc, Basic, &hom64, true),
+        ("memory_bound", 0x5cb9_7956_b3df_debc, Cab, &cab, true),
+        ("deep", 0x134b_0d37_d789_aab9, Basic, &hom64, true),
+        ("branchy", 0x127f_3fbc_0b72_fcff, Cab, &cab, false),
+    ];
+    for (profile, seed, variant, configs, every_survivor_finalises) in cases {
+        let params = cmam_cdfg::GenParams::profile(profile).expect("known profile");
+        let spec = cmam_kernels::generated_spec(&params, seed);
+        for config in configs {
+            let at = format!("{} under {variant:?} on {}", spec.name, config.name());
+            let r = Mapper::new(variant.options())
+                .map(&spec.cdfg, config)
+                .unwrap_or_else(|e| panic!("{at}: {e}"));
+            if every_survivor_finalises {
+                assert_eq!(r.stats.finalize_failures, 0, "{at}");
+            }
+            cmam_isa::assemble(&spec.cdfg, &r.mapping, config)
+                .unwrap_or_else(|e| panic!("{at}: {e}"));
+        }
+    }
 }
