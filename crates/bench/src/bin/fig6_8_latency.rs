@@ -12,16 +12,19 @@
 //! `--min-memory` prints instead, per kernel and flow, the smallest
 //! uniform context memory at which the kernel maps and assembles, and
 //! every larger one at which it fails (see [`cmam_bench::min_memory`]):
-//! 7 kernels x 5 flows x 61 sizes in one batch. How many of those jobs
+//! 7 kernels x 5 flows x 61 sizes in one batch. Under the table, each
+//! flow's minima summed over the kernels, and that sum's ratio to the
+//! basic flow's. How many of those jobs
 //! the engine had to map depends on scheduling and on the artifact
 //! store, so that count goes to stderr and stdout stays a function of
 //! the jobs.
 
 use cmam_arch::CgraConfig;
 use cmam_bench::cli::{Flag, Kind::Switch};
-use cmam_bench::min_memory::{uniform_scan, WORDS};
-use cmam_bench::{emit_table, engine, JobRequest};
+use cmam_bench::min_memory::{summed_minima, uniform_scan, WORDS};
+use cmam_bench::{emit_table, engine, ratio, JobRequest};
 use cmam_core::FlowVariant::{self, Acmap, Cab, Ecmap};
+use std::iter::once;
 
 const FIGURES: [(&str, FlowVariant); 3] = [
     ("Fig 6: latency, basic + ACMAP", Acmap),
@@ -50,17 +53,25 @@ fn min_memory() {
     println!("# Smallest uniform context memory (words per tile) that maps and assembles\n");
     let mut heads = vec!["Kernel"];
     heads.extend(FLOW_HEADS);
-    let rows: Vec<Vec<String>> = scans
+    let words = |min: Option<usize>| min.map_or_else(|| "none".to_owned(), |w| w.to_string());
+    let mut rows: Vec<Vec<String>> = scans
         .chunks(FLOW_HEADS.len())
         .map(|flows| {
             let mut row = vec![flows[0].kernel.clone()];
-            row.extend(flows.iter().map(|s| match s.min {
-                Some(w) => w.to_string(),
-                None => "none".to_owned(),
-            }));
+            row.extend(flows.iter().map(|s| words(s.min)));
             row
         })
         .collect();
+    let sums = summed_minima(&scans);
+    let to_basic = sums
+        .iter()
+        .map(|s| ratio(s.zip(sums[0]).map(|(s, b)| s as f64 / b as f64)));
+    rows.push(
+        once("Sum".to_owned())
+            .chain(sums.iter().map(|&s| words(s)))
+            .collect(),
+    );
+    rows.push(once("Sum vs basic".to_owned()).chain(to_basic).collect());
     emit_table(&heads, &rows);
     println!("\nFailures above the minimum:");
     let mut breaks = 0;

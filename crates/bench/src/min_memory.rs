@@ -6,12 +6,8 @@
 //! a flow that maps a kernel at `W` words can fail at some `W' > W` — so
 //! the scan runs every `W` instead of bisecting, and reports each failure
 //! above a minimum. All jobs go to the engine as one batch. Most of them
-//! lie inside the context-memory region of an earlier map of the same
-//! kernel and flow, so the engine maps only a fraction of them. Each
-//! (kernel, flow) pair is submitted from its largest `W` down: a map that
-//! succeeds there certifies a region reaching down to the smaller sizes
-//! it also fits, while a job that maps but does not assemble certifies
-//! nothing the engine can reuse (it keeps no mapping without a binary).
+//! lie inside the memory region of an earlier map of the same kernel and
+//! flow, so the engine maps only a fraction of them.
 
 use cmam_arch::CgraConfig;
 use cmam_core::FlowVariant;
@@ -50,7 +46,7 @@ pub struct Scan {
 /// [`FlowVariant::ALL`] over [`WORDS`], as one batch on `engine`. Rows
 /// come kernel-major, flows in `ALL` order.
 pub fn uniform_scan(engine: &Engine, specs: &[KernelSpec]) -> Vec<Scan> {
-    let configs: Vec<(usize, CgraConfig)> = WORDS.rev().map(|w| (w, uniform_config(w))).collect();
+    let configs: Vec<(usize, CgraConfig)> = WORDS.map(|w| (w, uniform_config(w))).collect();
     let mut requests = Vec::new();
     for spec in specs {
         for flow in FlowVariant::ALL {
@@ -69,7 +65,6 @@ pub fn uniform_scan(engine: &Engine, specs: &[KernelSpec]) -> Vec<Scan> {
             let ok: Vec<(usize, bool)> = configs
                 .iter()
                 .zip(cells)
-                .rev()
                 .map(|((w, _), r)| (*w, r.is_ok()))
                 .collect();
             let min = ok.iter().find(|c| c.1).map(|c| c.0);
@@ -87,4 +82,14 @@ pub fn uniform_scan(engine: &Engine, specs: &[KernelSpec]) -> Vec<Scan> {
         }
     }
     rows
+}
+
+/// Per flow of [`FlowVariant::ALL`], the sum of the minima of `scans`
+/// (rows as [`uniform_scan`] returns them); `None` for a flow that some
+/// kernel does not fit at any scanned size.
+pub fn summed_minima(scans: &[Scan]) -> Vec<Option<usize>> {
+    let flows = FlowVariant::ALL.len();
+    (0..flows)
+        .map(|f| scans.iter().skip(f).step_by(flows).map(|s| s.min).sum())
+        .collect()
 }

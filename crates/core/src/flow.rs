@@ -195,18 +195,18 @@ pub struct MapResult {
 }
 
 /// One map with everything it certifies: the result, its search
-/// statistics (kept on failure too) and the context-memory region its
-/// decisions hold for. Every configuration that differs from the mapped
-/// one only in context-memory sizes inside [`region`](Self::region) maps
-/// to this same result and these same statistics (see
-/// [`crate::region`]).
+/// statistics (kept on failure too) and the memory region its decisions
+/// hold for. Every configuration that differs from the mapped one only
+/// in memory sizes inside [`region`](Self::region) maps to this same
+/// result and these same statistics (see [`crate::region`]).
 #[derive(Debug, Clone)]
 pub struct CertifiedMap {
     /// The mapping, ready for `cmam_isa::assemble`, or why there is none.
     pub result: Result<KernelMapping, MapError>,
     /// Search statistics.
     pub stats: MapStats,
-    /// Per tile, the context-memory sizes the result holds for.
+    /// Per tile, the context-memory, register-file and
+    /// constant-register-file sizes the result holds for.
     pub region: CmRegion,
 }
 
@@ -404,7 +404,7 @@ impl Mapper {
     }
 
     /// [`Mapper::map`], returning its statistics on failure too and the
-    /// context-memory region its result holds for.
+    /// memory region its result holds for.
     pub fn map_certified(&self, cdfg: &Cdfg, config: &CgraConfig) -> CertifiedMap {
         let _span = cmam_obs::span!("map", blocks = cdfg.num_blocks() as u64);
         let mut stats = MapStats::default();

@@ -65,5 +65,5 @@ pub use flow::{CertifiedMap, MapError, MapResult, MapStats, Mapper};
 pub use options::{FlowVariant, MapperOptions, Traversal};
 pub use partial::{MapPre, Partial};
 pub use prune::{acmap_filter, ecmap_filter, stochastic_prune, stochastic_prune_by};
-pub use region::CmRegion;
+pub use region::{CmRegion, Memory};
 pub use schedule::priority_order;

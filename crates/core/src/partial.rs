@@ -65,7 +65,7 @@
 //! that enter the next population (see `flow.rs`).
 
 use crate::options::MapperOptions;
-use crate::region::{CmRegion, RegionLog};
+use crate::region::{CmRegion, Memory, RegionLog};
 use cmam_arch::{CgraConfig, TileId};
 use cmam_cdfg::analysis::DepGraph;
 use cmam_cdfg::{BlockId, Cdfg, OpId, SymbolId, ValueId, ValueKind};
@@ -77,8 +77,8 @@ use std::collections::VecDeque;
 /// the binder consumes, all-pairs hop distances, the home-pinning probe
 /// orders and the per-tile resources, so the hot loop never re-derives
 /// (or re-allocates) them per call. The one mutable part is the log of
-/// the context-memory region the map's capacity comparisons certify
-/// ([`MapCtx::fits`]).
+/// the memory region the map's capacity comparisons certify (see
+/// [`MapCtx`]'s recorded reads).
 #[derive(Debug, Clone)]
 pub struct MapPre {
     ntiles: usize,
@@ -96,14 +96,11 @@ pub struct MapPre {
     /// tiles in — the tile, its neighbours in direction order, then every
     /// other tile by `(distance, id)`.
     pin_order: Vec<TileId>,
-    /// Context-memory words per tile, read only by [`MapCtx::fits`].
-    cm_words: Vec<usize>,
+    /// Per tile, the size of each memory in [`Memory::ALL`] order, read
+    /// only by [`MapCtx`]'s recorded comparisons.
+    sizes: Vec<[usize; 3]>,
     /// The region those reads certify so far.
     region: RegionLog,
-    /// Register-file words per tile.
-    rf_words: Vec<usize>,
-    /// Constant-register-file words per tile.
-    crf_words: Vec<usize>,
     /// Whether each tile has a load/store unit.
     has_lsu: Vec<bool>,
 }
@@ -151,10 +148,8 @@ impl MapPre {
             nbr_sorted,
             dist,
             pin_order,
-            cm_words: tiles().map(|c| c.cm_words).collect(),
+            sizes: tiles().map(|c| Memory::ALL.map(|m| m.size(c))).collect(),
             region: RegionLog::new(n),
-            rf_words: tiles().map(|c| c.rf_words).collect(),
-            crf_words: tiles().map(|c| c.crf_words).collect(),
             has_lsu: tiles().map(|c| c.has_lsu).collect(),
         }
     }
@@ -171,8 +166,7 @@ impl MapPre {
         self.has_lsu[tile.0]
     }
 
-    /// The context-memory region every [`MapCtx::fits`] outcome so far
-    /// holds for.
+    /// The memory region every recorded comparison so far holds for.
     pub(crate) fn region(&self) -> CmRegion {
         self.region.region()
     }
@@ -203,16 +197,61 @@ pub struct MapCtx<'a> {
     pub pre: &'a MapPre,
 }
 
+/// The mapper's only reads of the tiles' memory sizes. Each is a
+/// comparison `size ≥ need` whose outcome narrows the map's [`CmRegion`]
+/// (see [`crate::region`]).
 impl<'a> MapCtx<'a> {
     /// Whether `words` context words fit `tile` for the block being
-    /// mapped: `words ≤ cm_words − reserve`, saturating at zero. The
-    /// mapper's only read of `cm_words`; the outcome narrows the map's
-    /// [`CmRegion`] (see [`crate::region`]).
+    /// mapped: `words ≤ cm_words − reserve`, saturating at zero (nothing
+    /// to fit fits every tile).
     #[inline]
     pub fn fits(&self, tile: TileId, words: usize) -> bool {
-        let fits = words <= self.pre.cm_words[tile.0].saturating_sub(self.reserve);
-        self.pre.region.record(tile, words, self.reserve, fits);
-        fits
+        let need = if words == 0 { 0 } else { words + self.reserve };
+        self.at_least(Memory::Cm, tile, need)
+    }
+
+    /// Whether one more block-local copy fits `tile`'s register file at
+    /// every cycle of a range, next to `persistent` symbol registers:
+    /// every live-copy count of `counts` is below `rf_words − persistent`,
+    /// saturating. The scan tracks the range's peak, whose bound a pass
+    /// records; a failure records the first count that failed.
+    #[inline]
+    pub(crate) fn rf_room(&self, tile: TileId, persistent: usize, counts: &[u16]) -> bool {
+        debug_assert!(!counts.is_empty(), "an empty range has no bound");
+        let cap = self.pre.sizes[tile.0][Memory::Rf as usize].saturating_sub(persistent);
+        let mut peak = 0;
+        for &c in counts {
+            if c as usize >= cap {
+                let need = c as usize + persistent + 1;
+                self.pre.region.record(Memory::Rf, tile, need, false);
+                return false;
+            }
+            peak = peak.max(c);
+        }
+        let need = peak as usize + persistent + 1;
+        self.pre.region.record(Memory::Rf, tile, need, true);
+        true
+    }
+
+    /// Whether `tile`'s register file holds `registers` registers.
+    #[inline]
+    pub(crate) fn rf_fits(&self, tile: TileId, registers: usize) -> bool {
+        self.at_least(Memory::Rf, tile, registers)
+    }
+
+    /// Whether `tile`'s constant register file holds `constants` distinct
+    /// constants.
+    #[inline]
+    pub(crate) fn crf_fits(&self, tile: TileId, constants: usize) -> bool {
+        self.at_least(Memory::Crf, tile, constants)
+    }
+
+    /// `size ≥ need` for `tile`'s `memory`, recorded.
+    #[inline]
+    fn at_least(&self, memory: Memory, tile: TileId, need: usize) -> bool {
+        let holds = self.pre.sizes[tile.0][memory as usize] >= need;
+        self.pre.region.record(memory, tile, need, holds);
+        holds
     }
 }
 
@@ -1198,12 +1237,6 @@ impl Partial {
     // Register-file intervals (flat per-cycle live-copy counts)
     // ------------------------------------------------------------------
 
-    /// Block-local registers available on `tile` (RF minus persistent
-    /// symbol registers).
-    fn local_cap(&self, ctx: &MapCtx<'_>, tile: TileId) -> usize {
-        ctx.pre.rf_words[tile.0].saturating_sub(self.persistent_count[tile.0])
-    }
-
     /// Peak occupancy of `tile` over the whole block so far.
     fn max_overlap(&self, tile: TileId) -> usize {
         self.rf_peak[tile.0] as usize
@@ -1211,11 +1244,9 @@ impl Partial {
 
     /// Whether one more copy can be live on `tile` across `[from, to]`.
     fn range_has_room(&self, ctx: &MapCtx<'_>, tile: TileId, from: usize, to: usize) -> bool {
-        let cap = self.local_cap(ctx, tile);
         let base = tile.0 * (self.max_schedule + 1);
-        self.rf_count[base + from..=base + to]
-            .iter()
-            .all(|&c| (c as usize) < cap)
+        let counts = &self.rf_count[base + from..=base + to];
+        ctx.rf_room(tile, self.persistent_count[tile.0], counts)
     }
 
     /// Increments the live-copy counts of `tile` over `[from, to]`,
@@ -1391,9 +1422,8 @@ impl Partial {
         // The tile, its neighbours, then every tile by distance and id
         // (precomputed in `MapPre`).
         for &home in ctx.pre.pin_order(preferred) {
-            let cap = ctx.pre.rf_words[home.0];
             let pressure = self.rf_pressure[home.0].max(self.max_overlap(home));
-            if self.persistent_count[home.0] + pressure < cap {
+            if ctx.rf_fits(home, self.persistent_count[home.0] + pressure + 1) {
                 self.journal.push(UndoOp::UnpinHome {
                     symbol: s.0,
                     home: home.0 as u32,
@@ -1669,7 +1699,7 @@ impl Partial {
                             || sources[..i].contains(&OperandSource::Const(c));
                         if !known {
                             new_consts += 1;
-                            if self.crf[t2.0].len() + new_consts > ctx.pre.crf_words[t2.0] {
+                            if !ctx.crf_fits(t2, self.crf[t2.0].len() + new_consts) {
                                 continue 'site;
                             }
                         }
@@ -1787,7 +1817,7 @@ impl Partial {
                 ValueKind::Const(c) => {
                     let in_crf = self.crf[tile.0].contains(&c);
                     if !in_crf {
-                        if self.crf[tile.0].len() >= ctx.pre.crf_words[tile.0] {
+                        if !ctx.crf_fits(tile, self.crf[tile.0].len() + 1) {
                             return false;
                         }
                         self.journal.push(UndoOp::PopCrf {
@@ -2080,6 +2110,70 @@ mod tests {
             options,
             reserve: 0,
             pre,
+        }
+    }
+
+    /// Every recorded read's region holds its own configuration and only
+    /// sizes at which the read comes out the same; every read but
+    /// `rf_room` holds all of them (a failing range is bounded by its
+    /// first failing count, not its peak).
+    #[test]
+    fn recorded_reads_bound_the_sizes_with_their_outcome() {
+        type Read = Box<dyn Fn(&MapCtx<'_>) -> bool>;
+        let (cdfg, _, options) = ctx_objects();
+        let configs: Vec<CgraConfig> = (1..=10)
+            .map(|s| {
+                let b = CgraConfig::builder(4, 4).uniform_cm(s);
+                b.rf_words(s).crf_words(s).build().unwrap()
+            })
+            .collect();
+        // (reserve, read, whether its region is exact)
+        let mut reads: Vec<(usize, Read, bool)> = Vec::new();
+        for reserve in 0..3 {
+            for words in 0..6 {
+                reads.push((reserve, Box::new(move |c| c.fits(TileId(0), words)), true));
+            }
+        }
+        for n in 0..8 {
+            reads.push((0, Box::new(move |c| c.rf_fits(TileId(0), n)), true));
+            reads.push((0, Box::new(move |c| c.crf_fits(TileId(0), n)), true));
+        }
+        for persistent in 0..3 {
+            for counts in [&[0u16][..], &[2], &[1, 3, 0], &[3, 1], &[0, 0, 4]] {
+                let read = move |c: &MapCtx<'_>| c.rf_room(TileId(0), persistent, counts);
+                reads.push((0, Box::new(read), false));
+            }
+        }
+        for (i, (reserve, read, exact)) in reads.iter().enumerate() {
+            let outcomes: Vec<(bool, CmRegion)> = configs
+                .iter()
+                .map(|config| {
+                    let pre = MapPre::new(config);
+                    let ctx = MapCtx {
+                        cdfg: &cdfg,
+                        config,
+                        options: &options,
+                        reserve: *reserve,
+                        pre: &pre,
+                    };
+                    (read(&ctx), pre.region())
+                })
+                .collect();
+            for (s, (holds, region)) in outcomes.iter().enumerate() {
+                assert!(region.contains(&configs[s]), "read {i}, size {}", s + 1);
+                for (t, (other, _)) in outcomes.iter().enumerate() {
+                    let inside = region.contains(&configs[t]);
+                    if inside || *exact {
+                        assert_eq!(
+                            inside,
+                            other == holds,
+                            "read {i}, sizes {} {}",
+                            s + 1,
+                            t + 1
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -602,6 +602,12 @@ pub fn serialize_result(result: &JobResult) -> Vec<u8> {
                 w.usize(m);
                 w.usize(p);
             }
+            for needs in [&o.report.registers, &o.report.constants] {
+                w.len(needs.len());
+                for &n in needs {
+                    w.usize(n);
+                }
+            }
             for s in [
                 o.map_stats.candidates,
                 o.map_stats.attempts,
@@ -732,7 +738,19 @@ pub fn parse_result(bytes: &[u8]) -> Option<JobResult> {
             for _ in 0..nreport {
                 per_tile.push((r.usize()?, r.usize()?, r.usize()?));
             }
-            let report = AsmReport { per_tile };
+            let mut needs = || -> Option<Vec<usize>> {
+                let n = r.len()?;
+                let mut v = Vec::with_capacity(n.min(1024));
+                for _ in 0..n {
+                    v.push(r.usize()?);
+                }
+                Some(v)
+            };
+            let report = AsmReport {
+                per_tile,
+                registers: needs()?,
+                constants: needs()?,
+            };
             let map_stats = cmam_core::MapStats {
                 candidates: r.u64()?,
                 attempts: r.u64()?,
@@ -957,7 +975,7 @@ mod tests {
         let back = parsed.expect("still ok");
         assert_eq!(back.cycles, out.cycles);
         assert_eq!(back.sim, out.sim);
-        assert_eq!(back.report.per_tile, out.report.per_tile);
+        assert_eq!(back.report, out.report);
         assert_eq!(back.binary, out.binary);
         assert_eq!(back.compile_time, out.compile_time);
         assert_eq!(back.assemble_time, out.assemble_time);

@@ -34,6 +34,11 @@ use cmam_sim::SimStats;
 /// single-bit corruption is now a provable miss instead of a possible
 /// misparse) and failures carry their recovery fields (`retriable`,
 /// `attempts`) plus the `Panic` stage tag.
+///
+/// Still v5: reports gained their per-tile register and constant needs.
+/// The version salts every job key and content digest, and every layout
+/// change ships with a source change, whose [`TOOLCHAIN_HASH`] already
+/// keys the older artifacts away.
 pub const FORMAT_VERSION: u32 = 5;
 
 /// Build-time hash of every toolchain source file whose code influences a

@@ -1,6 +1,7 @@
 //! Job descriptions and the map→assemble→simulate→check pipeline.
 
 use crate::fingerprint::{Fingerprint, Fnv64};
+use crate::region::Produced;
 use cmam_arch::CgraConfig;
 use cmam_core::{CertifiedMap, CmRegion, FlowVariant, MapStats, Mapper, MapperOptions};
 use cmam_isa::{AsmReport, CgraBinary};
@@ -22,9 +23,9 @@ pub struct RunOutcome {
     /// Wall-clock mapping time. For a cache hit this is the time measured
     /// when the artifact was first produced, not the (near-zero) lookup
     /// time — so compile-time experiments stay reproducible across runs.
-    /// A job the engine answers inside the context-memory region of an
-    /// earlier map (see [`cmam_core::region`]) keeps that map's time the
-    /// same way.
+    /// A job the engine answers inside the memory region of an earlier
+    /// map (see [`cmam_core::region`]) keeps that map's time the same
+    /// way.
     pub compile_time: Duration,
     /// Wall-clock assembly time (same cache-hit caveat as
     /// [`RunOutcome::compile_time`]).
@@ -217,9 +218,28 @@ pub fn execute(req: &JobRequest<'_>) -> JobResult {
     execute_certified(req).0
 }
 
-/// [`execute`], plus what its map certified: the context-memory region
-/// the map's result holds for and its search statistics.
-pub(crate) fn execute_certified(req: &JobRequest<'_>) -> (JobResult, (CmRegion, MapStats)) {
+/// A binary with its report and the compile and assembly times that
+/// produced them.
+#[derive(Debug)]
+pub(crate) struct Lowered {
+    binary: CgraBinary,
+    report: AsmReport,
+    times: (Duration, Duration),
+}
+
+/// What a job's map certified: the memory region its result holds for,
+/// its search statistics, and its binary when that failed only
+/// [`cmam_isa::check_fit`] on the job's own memories, which a job inside
+/// the region may still fit.
+#[derive(Debug)]
+pub(crate) struct Certificate {
+    pub(crate) region: CmRegion,
+    pub(crate) stats: MapStats,
+    pub(crate) unfit: Option<Lowered>,
+}
+
+/// [`execute`], plus what its map certified.
+pub(crate) fn execute_certified(req: &JobRequest<'_>) -> (JobResult, Certificate) {
     let _span = cmam_obs::span!("job");
     let mapper = Mapper::new(req.options.clone());
     let t0 = Instant::now();
@@ -232,52 +252,72 @@ pub(crate) fn execute_certified(req: &JobRequest<'_>) -> (JobResult, (CmRegion, 
     // Per-phase latency histograms, fed from the wall times this function
     // already measures (so tracing on/off changes nothing here).
     cmam_obs::histogram!("phase.map_us").record(compile_time.as_micros() as u64);
+    let mut certificate = Certificate {
+        region,
+        stats,
+        unfit: None,
+    };
     let fail = |stage, message: String| JobFailure::pipeline(stage, message, compile_time);
     let mapping = match result {
         Ok(mapping) => mapping,
-        Err(e) => return (Err(fail(FailStage::Map, e.to_string())), (region, stats)),
+        Err(e) => return (Err(fail(FailStage::Map, e.to_string())), certificate),
     };
     let t1 = Instant::now();
-    let assembled = cmam_isa::assemble(&req.spec.cdfg, &mapping, req.config);
+    let lowered = cmam_isa::lower(&req.spec.cdfg, &mapping, req.config);
     let assemble_time = t1.elapsed();
-    let result = assembled
-        .map_err(|e| fail(FailStage::Assemble, e.to_string()))
-        .and_then(|(binary, report)| {
+    let (binary, report) = match lowered {
+        Ok(lowered) => lowered,
+        Err(e) => return (Err(fail(FailStage::Assemble, e.to_string())), certificate),
+    };
+    let times = (compile_time, assemble_time);
+    let result = match cmam_isa::check_fit(&report, req.config) {
+        Ok(()) => {
             cmam_obs::histogram!("phase.assemble_us").record(assemble_time.as_micros() as u64);
-            let times = (compile_time, assemble_time);
-            run_binary(req, binary, report, times, stats.clone())
-        });
-    (result, (region, stats))
+            run_binary(req, binary, report, times, certificate.stats.clone())
+        }
+        Err(e) => {
+            certificate.unfit = Some(Lowered {
+                binary,
+                report,
+                times,
+            });
+            Err(fail(FailStage::Assemble, e.to_string()))
+        }
+    };
+    (result, certificate)
 }
 
-/// Answers `req` with the map of an earlier job whose certified
-/// context-memory region holds `req`'s memories, which by construction
-/// is the map `req` would compute (see [`crate::region`]): the producer's
-/// map failure, or its binary, which assembles for `req.config` exactly
-/// when the producer's report passes [`cmam_isa::check_fit`] there, then
-/// simulated and checked like any job's (`req.spec.mem` may differ from
-/// the producer's). The outcome keeps the producer's compile and assembly
-/// times, the cache-hit convention of [`RunOutcome::compile_time`], and
-/// `stats`, the producer's map statistics, are replayed into the
-/// `mapper.*` counters as if the map had run here.
+/// Answers `req` with what an earlier job's map produced, when that map's
+/// certified memory region holds `req`'s memories, which by construction
+/// makes it the map `req` would compute (see [`crate::region`]): the
+/// producer's map failure, or its binary, which assembles for
+/// `req.config` exactly when the producer's report passes
+/// [`cmam_isa::check_fit`] there, then simulated and checked like any
+/// job's (`req.spec.mem` may differ from the producer's). The outcome
+/// keeps the producer's compile and assembly times, the cache-hit
+/// convention of [`RunOutcome::compile_time`], and `stats`, the
+/// producer's map statistics, are replayed into the `mapper.*` counters
+/// as if the map had run here.
 pub(crate) fn execute_in_region(
     req: &JobRequest<'_>,
-    producer: &JobResult,
+    producer: &Produced,
     stats: &MapStats,
 ) -> JobResult {
     let _span = cmam_obs::span!("job");
-    stats.flush_metrics(producer.is_err());
-    let produced = producer.as_ref().map_err(Clone::clone)?;
-    let times = (produced.compile_time, produced.assemble_time);
-    cmam_isa::check_fit(&produced.report, req.config)
+    let (binary, report, times) = match producer {
+        Produced::Memo(memo) => match &memo.result {
+            Ok(o) => (&o.binary, &o.report, (o.compile_time, o.assemble_time)),
+            Err(failure) => {
+                stats.flush_metrics(true);
+                return Err(failure.clone());
+            }
+        },
+        Produced::Unfit(unfit) => (&unfit.binary, &unfit.report, unfit.times),
+    };
+    stats.flush_metrics(false);
+    cmam_isa::check_fit(report, req.config)
         .map_err(|e| JobFailure::pipeline(FailStage::Assemble, e.to_string(), times.0))?;
-    run_binary(
-        req,
-        produced.binary.clone(),
-        produced.report.clone(),
-        times,
-        stats.clone(),
-    )
+    run_binary(req, binary.clone(), report.clone(), times, stats.clone())
 }
 
 /// The back half of a job: simulates `binary` on `req.spec.mem` and

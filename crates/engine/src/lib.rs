@@ -16,11 +16,13 @@
 //!   artifacts under `target/cmam-cache/` (override with
 //!   `CMAM_CACHE_DIR`), so repeated sweeps across processes are
 //!   near-free;
-//! * **context-memory regions** — every map certifies the memory sizes
-//!   its decisions hold for, and a later job that differs only in memory
-//!   sizes inside such a region reuses that map: it re-checks the fit,
-//!   simulates and checks, but does not map (see [`cmam_core::region`]
-//!   and [`EngineStats::region_hits`]).
+//! * **memory regions** — every map certifies the context-memory,
+//!   register-file and constant-register-file sizes its decisions hold
+//!   for, and a later job that differs only in memory sizes inside such a
+//!   region reuses that map and its binary, whether or not that binary
+//!   fit the first job's memories: it re-runs [`cmam_isa::check_fit`] on
+//!   its own memories, simulates and checks, but does not map (see
+//!   [`cmam_core::region`] and [`EngineStats::region_hits`]).
 //!
 //! Batches execute on the process-wide persistent [`cmam_pool`], one job
 //! per worker; each job maps on the worker thread that runs it.
@@ -158,7 +160,7 @@ pub struct EngineStats {
     /// Jobs actually executed (mapped, assembled, simulated).
     pub executed: u64,
     /// Executed jobs that did not map: the engine answered them inside
-    /// the context-memory region of an earlier map (see the crate docs).
+    /// the memory region of an earlier map (see the crate docs).
     /// At `jobs > 1` which jobs these are, and so this count, depends on
     /// scheduling; the results do not. It therefore has no `engine.*`
     /// metrics counter, whose totals are promised deterministic.
@@ -221,7 +223,7 @@ fn run_pending(j: &PendingJob, regions: &RegionTable) -> (Arc<Memo>, u32, bool) 
     let map_key = region::map_key(&request);
     if let Some((producer, stats)) = regions.find(map_key, &j.config) {
         let (result, attempts) = job::with_recovery(j.key, || {
-            job::execute_in_region(&request, &producer.result, &stats)
+            job::execute_in_region(&request, &producer, &stats)
         });
         return (Memo::new(result), attempts, true);
     }
@@ -234,8 +236,8 @@ fn run_pending(j: &PendingJob, regions: &RegionTable) -> (Arc<Memo>, u32, bool) 
         result
     });
     let memo = Memo::new(result);
-    if let Some((region, stats)) = certificate {
-        regions.publish(map_key, region, stats, &memo);
+    if let Some(certificate) = certificate {
+        regions.publish(map_key, certificate, &memo);
     }
     (memo, attempts, false)
 }

@@ -1,14 +1,17 @@
-//! The engine's context-memory region table.
+//! The engine's memory region table.
 //!
-//! Every map certifies a [`CmRegion`]: per tile, the context-memory
-//! sizes over which each of its capacity comparisons comes out the same
-//! (see [`cmam_core::region`]). Two jobs whose CDFG, mapper options and
-//! array structure match — everything the mapper reads except `cm_words`
-//! — therefore map identically when the second job's memories lie inside
-//! the first job's region. The table remembers, per such *map key*, the
-//! region of every job whose map ran and whose result is a mapping or a
-//! map failure, next to that job's memo entry; a later job inside one of
-//! them reuses the map instead of running it (see
+//! Every map certifies a [`CmRegion`]: per tile, the context-memory,
+//! register-file and constant-register-file sizes over which each of its
+//! capacity comparisons comes out the same (see [`cmam_core::region`]).
+//! Two jobs whose CDFG, mapper options and array structure match —
+//! everything the mapper reads except memory sizes — therefore map
+//! identically when the second job's memories lie inside the first job's
+//! region, and their mapping lowers to the same binary and report
+//! ([`cmam_isa::lower`]). The table remembers, per such *map key*, the
+//! region of every job whose map ran and produced a map failure or a
+//! binary, whether or not that binary fit the job's own memories; a later
+//! job inside one of them reuses the map instead of running it and checks
+//! the binary's fit on its own memories (see
 //! [`job::execute_in_region`](crate::job)).
 //!
 //! Entries are published as soon as their job finishes, so later jobs of
@@ -17,21 +20,32 @@
 //! than one worker; the results never do.
 
 use crate::fingerprint::{Fingerprint, Fnv64};
-use crate::job::{FailStage, JobRequest};
+use crate::job::{Certificate, FailStage, JobRequest, Lowered};
 use crate::{lock_recover, Memo};
 use cmam_arch::CgraConfig;
 use cmam_core::{CmRegion, MapStats};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
+/// What one certified map answers the jobs inside its region with.
+#[derive(Debug, Clone)]
+pub(crate) enum Produced {
+    /// The producing job's memo entry: a mapping's outcome, or a map
+    /// failure.
+    Memo(Arc<Memo>),
+    /// A binary that failed [`cmam_isa::check_fit`] on the producing
+    /// job's own memories (its memo entry holds only that failure).
+    Unfit(Arc<Lowered>),
+}
+
 /// One certified map: its region, its search statistics (a failed map's
-/// result carries none) and the producing job's memo entry, which holds
-/// the only copy of its binary.
+/// result carries none) and what it produced, shared with the producing
+/// job's memo entry where that holds it.
 #[derive(Debug)]
 struct Entry {
     region: CmRegion,
     stats: MapStats,
-    memo: Arc<Memo>,
+    produced: Produced,
 }
 
 /// The certified maps of one engine, by map key.
@@ -40,9 +54,10 @@ pub(crate) struct RegionTable {
     entries: Mutex<HashMap<u64, Vec<Entry>>>,
 }
 
-/// The part of a job the mapper reads, apart from context-memory sizes:
-/// the CDFG, the mapper options, the geometry and each tile's LSU, RF
-/// and CRF. The configuration's name and `cm_words` stay out.
+/// The part of a job the mapper reads, apart from memory sizes: the
+/// CDFG, the mapper options, the geometry and each tile's LSU. The
+/// configuration's name and its `cm_words`, `rf_words` and `crf_words`
+/// stay out.
 pub(crate) fn map_key(req: &JobRequest<'_>) -> u64 {
     let mut h = Fnv64::new();
     req.spec.cdfg.fingerprint(&mut h);
@@ -50,40 +65,44 @@ pub(crate) fn map_key(req: &JobRequest<'_>) -> u64 {
     req.config.geometry().fingerprint(&mut h);
     for (_, tile) in req.config.tiles() {
         h.feed_bool(tile.has_lsu);
-        h.feed_usize(tile.rf_words);
-        h.feed_usize(tile.crf_words);
     }
     h.finish()
 }
 
 impl RegionTable {
-    /// The memo entry and map statistics of an earlier map under `key`
-    /// whose region holds `config`'s memories.
-    pub(crate) fn find(&self, key: u64, config: &CgraConfig) -> Option<(Arc<Memo>, MapStats)> {
+    /// What an earlier map under `key` whose region holds `config`'s
+    /// memories produced, and its map statistics.
+    pub(crate) fn find(&self, key: u64, config: &CgraConfig) -> Option<(Produced, MapStats)> {
         let entries = lock_recover(&self.entries);
         let hit = entries
             .get(&key)?
             .iter()
             .find(|e| e.region.contains(config))?;
-        Some((Arc::clone(&hit.memo), hit.stats.clone()))
+        Some((hit.produced.clone(), hit.stats.clone()))
     }
 
-    /// Records the region of a job whose map ran, when its result is one
-    /// a later job can share: a mapping, or a map failure.
-    pub(crate) fn publish(&self, key: u64, region: CmRegion, stats: MapStats, memo: &Arc<Memo>) {
-        let shareable = match &memo.result {
-            Ok(_) => true,
-            Err(f) => f.stage == FailStage::Map,
+    /// Records the region of a job whose map ran, when what it produced
+    /// is one a later job can share: a mapping whose binary fits or does
+    /// not fit the job's memories, or a map failure.
+    pub(crate) fn publish(&self, key: u64, certificate: Certificate, memo: &Arc<Memo>) {
+        let Certificate {
+            region,
+            stats,
+            unfit,
+        } = certificate;
+        let produced = match (unfit, &memo.result) {
+            (Some(unfit), _) => Produced::Unfit(Arc::new(unfit)),
+            (None, Ok(_)) => Produced::Memo(Arc::clone(memo)),
+            (None, Err(f)) if f.stage == FailStage::Map => Produced::Memo(Arc::clone(memo)),
+            (None, Err(_)) => return,
         };
-        if shareable {
-            lock_recover(&self.entries)
-                .entry(key)
-                .or_default()
-                .push(Entry {
-                    region,
-                    stats,
-                    memo: Arc::clone(memo),
-                });
-        }
+        lock_recover(&self.entries)
+            .entry(key)
+            .or_default()
+            .push(Entry {
+                region,
+                stats,
+                produced,
+            });
     }
 }

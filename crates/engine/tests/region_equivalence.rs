@@ -1,16 +1,17 @@
-//! An engine that answers jobs inside the context-memory regions of
-//! earlier maps returns exactly what [`execute`] computes for every job,
-//! at one worker and at two (where which jobs reuse a region depends on
-//! scheduling).
+//! An engine that answers jobs inside the memory regions of earlier maps
+//! returns exactly what [`execute`] computes for every job, at one worker
+//! and at two (where which jobs reuse a region depends on scheduling).
 //!
-//! The jobs are Table I under every flow and the uniform 4..=64-word
-//! scan under every flow, over the seven paper kernels, in one batch.
+//! Two batches over the seven paper kernels: Table I and the uniform
+//! 4..=64-word scan under every flow, and the 100-config generated DSE
+//! space under CAB, whose configurations also vary their register files.
 //! Successes must agree on `content_digest` (binary, report, simulator
 //! counters and `MapStats`), failures on stage and message.
 
 use cmam_arch::CgraConfig;
 use cmam_core::FlowVariant;
-use cmam_engine::{execute, Engine, EngineOptions, JobRequest, JobResult};
+use cmam_engine::dse::{generate_space, SpaceParams, DEFAULT_SPACE_SEED};
+use cmam_engine::{execute, Engine, EngineOptions, EngineStats, JobRequest, JobResult};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -48,27 +49,17 @@ fn direct(requests: &[JobRequest<'_>]) -> Vec<String> {
     out.into_inner().unwrap()
 }
 
-#[test]
-fn region_answers_equal_direct_execution_at_one_and_two_workers() {
-    let specs = cmam_kernels::all();
-    let table_one = CgraConfig::table_one();
-    let scan: Vec<CgraConfig> = (4..=64).map(uniform).collect();
-    let mut requests = Vec::new();
-    for spec in &specs {
-        for flow in FlowVariant::ALL {
-            for config in table_one.iter().chain(&scan) {
-                requests.push(JobRequest::flow(spec, flow, config));
-            }
-        }
-    }
-    let expected = direct(&requests);
-    for jobs in [1, 2] {
+/// Runs `requests` on a fresh engine at one worker and at two, checks
+/// every result against `execute`, and returns the two engines' stats.
+fn equals_direct_execution(requests: &[JobRequest<'_>]) -> [EngineStats; 2] {
+    let expected = direct(requests);
+    [1, 2].map(|jobs| {
         let engine = Engine::new(EngineOptions {
             jobs,
             cache_dir: None,
             cache_bytes: None,
         });
-        let got: Vec<String> = engine.run_batch(&requests).iter().map(summary).collect();
+        let got: Vec<String> = engine.run_batch(requests).iter().map(summary).collect();
         let stats = engine.stats();
         assert_eq!(stats.executed, requests.len() as u64, "jobs {jobs}");
         assert!(
@@ -81,7 +72,10 @@ fn region_answers_equal_direct_execution_at_one_and_two_workers() {
             .filter(|&i| got[i] != expected[i])
             .map(|i| {
                 let r = &requests[i];
-                let flow = FlowVariant::ALL[i / (table_one.len() + scan.len()) % 5];
+                let flow = FlowVariant::ALL
+                    .into_iter()
+                    .find(|f| f.options() == r.options)
+                    .expect("a flow's job");
                 format!(
                     "{} {flow}: engine {}, execute {}",
                     r.label(),
@@ -97,7 +91,52 @@ fn region_answers_equal_direct_execution_at_one_and_two_workers() {
             requests.len(),
             &differ[..differ.len().min(10)]
         );
+        stats
+    })
+}
+
+#[test]
+fn region_answers_equal_direct_execution_at_one_and_two_workers() {
+    let specs = cmam_kernels::all();
+    let table_one = CgraConfig::table_one();
+    let scan: Vec<CgraConfig> = (4..=64).map(uniform).collect();
+    let mut requests = Vec::new();
+    for spec in &specs {
+        for flow in FlowVariant::ALL {
+            for config in table_one.iter().chain(&scan) {
+                requests.push(JobRequest::flow(spec, flow, config));
+            }
+        }
     }
+    equals_direct_execution(&requests);
+}
+
+/// The DSE space varies each configuration's register files next to its
+/// context memories, so most of its reuse crosses RF and CRF sizes.
+#[test]
+fn the_dse_space_under_cab_equals_direct_execution() {
+    let specs = cmam_kernels::all();
+    let space = generate_space(&SpaceParams {
+        target: 100,
+        seed: DEFAULT_SPACE_SEED,
+    });
+    let requests: Vec<JobRequest<'_>> = space
+        .iter()
+        .flat_map(|config| {
+            specs
+                .iter()
+                .map(move |spec| JobRequest::flow(spec, FlowVariant::Cab, config))
+        })
+        .collect();
+    let [one, _] = equals_direct_execution(&requests);
+    // One worker meets the jobs in submission order: 265 lie inside an
+    // earlier map's region, 125 when the map key held RF and CRF sizes.
+    assert!(
+        one.region_hits >= 250,
+        "{} of {} jobs inside a region at one worker",
+        one.region_hits,
+        one.executed
+    );
 }
 
 /// A fresh engine starts with an empty region table: nothing one engine

@@ -1,24 +1,24 @@
-//! Context-memory regions are sound: a configuration whose memories lie
-//! inside the region a map certified maps to that map's result.
+//! Memory regions are sound: a configuration whose memories lie inside
+//! the region a map certified maps to that map's result.
 //!
 //! Three job sets, each job mapped directly with
 //! [`Mapper::map_certified`]: Table I under every flow, the uniform
 //! 4..=64-word scan under every flow (the `fig6_8_latency --min-memory`
 //! jobs) and the 100-config generated DSE space under CAB, all over the
 //! seven paper kernels. Jobs that share everything the mapper reads
-//! except `cm_words` (CDFG, options, geometry, per-tile LSU/RF/CRF) are
+//! except memory sizes (CDFG, options, geometry, per-tile LSU) are
 //! compared in submission order, as the engine meets them:
 //!
 //! * every region contains its own configuration;
 //! * a job inside an earlier job's region maps to the identical
 //!   `KernelMapping` (or `MapError`), `MapStats` and region;
 //! * a job inside no earlier region is mapped again at its region's two
-//!   corners — every tile at its lower bound, and every tile at its upper
-//!   bound capped at 256 words — with the identical result, statistics
-//!   and region.
+//!   corners — every memory of every tile at its lower bound, and every
+//!   one at its upper bound capped at 256 words — with the identical
+//!   result, statistics and region.
 
 use cmam_arch::{CgraConfig, TileConfig};
-use cmam_core::{CertifiedMap, CmRegion, FlowVariant, Mapper};
+use cmam_core::{CertifiedMap, CmRegion, FlowVariant, Mapper, Memory};
 use cmam_engine::dse::{generate_space, SpaceParams, DEFAULT_SPACE_SEED};
 use cmam_kernels::KernelSpec;
 use std::collections::HashMap;
@@ -29,26 +29,29 @@ use std::sync::Mutex;
 /// unbounded above.
 const CAP: usize = 256;
 
-/// Everything the mapper reads apart from context-memory sizes.
-type MapKey = (usize, FlowVariant, usize, usize, Vec<(bool, usize, usize)>);
+/// Everything the mapper reads apart from memory sizes.
+type MapKey = (usize, FlowVariant, usize, usize, Vec<bool>);
 
 fn map_key(kernel: usize, flow: FlowVariant, config: &CgraConfig) -> MapKey {
     let geometry = config.geometry();
-    let tiles = config
-        .tiles()
-        .map(|(_, t)| (t.has_lsu, t.rf_words, t.crf_words))
-        .collect();
-    (kernel, flow, geometry.rows(), geometry.cols(), tiles)
+    let lsus = config.tiles().map(|(_, t)| t.has_lsu).collect();
+    (kernel, flow, geometry.rows(), geometry.cols(), lsus)
 }
 
-/// `config` with tile `i`'s context memory set to `words(i)`.
-fn with_memories(config: &CgraConfig, words: impl Fn(usize) -> usize) -> CgraConfig {
+/// `config` with tile `i`'s context memory, register file and constant
+/// register file set to `words(i)`, in [`Memory::ALL`] order.
+fn with_memories(config: &CgraConfig, words: impl Fn(usize) -> [usize; 3]) -> CgraConfig {
     let tiles: Vec<TileConfig> = config
         .tiles()
         .enumerate()
-        .map(|(i, (_, t))| TileConfig {
-            cm_words: words(i),
-            ..*t
+        .map(|(i, (_, t))| {
+            let [cm_words, rf_words, crf_words] = words(i);
+            TileConfig {
+                cm_words,
+                rf_words,
+                crf_words,
+                ..*t
+            }
         })
         .collect();
     CgraConfig::new(
@@ -112,8 +115,14 @@ fn check_group(
         }
         let bounds = map.region.bounds();
         for (corner, words) in [
-            ("lower", bounds.iter().map(|b| b.0).collect::<Vec<_>>()),
-            ("upper", bounds.iter().map(|b| b.1.min(CAP)).collect()),
+            (
+                "lower",
+                bounds.iter().map(|b| b.map(|m| m.0)).collect::<Vec<_>>(),
+            ),
+            (
+                "upper",
+                bounds.iter().map(|b| b.map(|m| m.1.min(CAP))).collect(),
+            ),
         ] {
             let at = with_memories(config, |i| words[i]);
             local.corner_maps += 1;
@@ -227,29 +236,33 @@ fn the_generated_dse_space_under_cab() {
 }
 
 /// A region never holds a configuration of another tile count, and holds
-/// one of the same shape exactly when every tile's memory is inside.
+/// one of the same shape exactly when every memory of every tile is
+/// inside.
 #[test]
 fn containment_is_per_tile() {
     let spec = cmam_kernels::fir::spec();
-    let map =
-        Mapper::new(FlowVariant::Cab.options()).map_certified(&spec.cdfg, &CgraConfig::het1());
+    let het1 = CgraConfig::het1();
+    let map = Mapper::new(FlowVariant::Cab.options()).map_certified(&spec.cdfg, &het1);
     let region: &CmRegion = &map.region;
-    assert!(region.contains(&CgraConfig::het1()));
+    assert!(region.contains(&het1));
     let wide = CgraConfig::builder(4, 8).build().expect("valid");
     assert!(!region.contains(&wide));
-    let bounds = region.bounds();
-    let (tile, &(lo, _)) = bounds
-        .iter()
-        .enumerate()
-        .find(|(_, b)| b.0 > 1)
-        .expect("some tile's memory was compared");
-    let het1 = CgraConfig::het1();
-    let below = with_memories(&het1, |i| {
-        if i == tile {
-            lo - 1
-        } else {
-            het1.tile(cmam_arch::TileId(i)).cm_words
-        }
-    });
-    assert!(!region.contains(&below));
+    let sizes = |i: usize| Memory::ALL.map(|m| m.size(het1.tile(cmam_arch::TileId(i))));
+    for memory in Memory::ALL {
+        let m = memory as usize;
+        let (tile, lo) = region
+            .bounds()
+            .iter()
+            .enumerate()
+            .find_map(|(i, b)| (b[m].0 > 1).then_some((i, b[m].0)))
+            .unwrap_or_else(|| panic!("some tile's {memory:?} was compared"));
+        let below = with_memories(&het1, |i| {
+            let mut words = sizes(i);
+            if i == tile {
+                words[m] = lo - 1;
+            }
+            words
+        });
+        assert!(!region.contains(&below), "{memory:?}");
+    }
 }

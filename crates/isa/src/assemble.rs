@@ -14,6 +14,9 @@
 //! * RF / CRF capacity;
 //! * the Section III-C inequality per tile:
 //!   `n(Mo) + n(pnop) ≤ n(I)` (context words fit the context memory).
+//!
+//! The last two are [`check_fit`], which compares the finished report's
+//! needs with the tiles' memory sizes; [`lower`] is everything before it.
 
 use crate::instr::{compress, Instr, Operand};
 use crate::mapping::{KernelMapping, OperandSource};
@@ -179,11 +182,17 @@ impl fmt::Display for AssembleError {
 impl Error for AssembleError {}
 
 /// Per-tile word accounting, the measured counterpart of the paper's
-/// `n(Vo)`, `n(To)`, `n(pnop)`, `n(I)` bookkeeping.
+/// `n(Vo)`, `n(To)`, `n(pnop)`, `n(I)` bookkeeping, and the register and
+/// constant needs [`check_fit`] compares with the register files.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AsmReport {
     /// Per tile: (operation words, move words, pnop words).
     pub per_tile: Vec<(usize, usize, usize)>,
+    /// Per tile: the registers the binary uses, its persistent symbol
+    /// registers included.
+    pub registers: Vec<usize>,
+    /// Per tile: the distinct constants of its CRF.
+    pub constants: Vec<usize>,
 }
 
 impl AsmReport {
@@ -240,13 +249,35 @@ struct IntervalSlot {
     end: usize,
 }
 
-/// Assembles `mapping` of `cdfg` for `config`.
+/// Assembles `mapping` of `cdfg` for `config`: [`lower`], then
+/// [`check_fit`].
 ///
 /// # Errors
 ///
 /// Returns the first [`AssembleError`] found; see the module docs for the
 /// checked constraints.
 pub fn assemble(
+    cdfg: &Cdfg,
+    mapping: &KernelMapping,
+    config: &CgraConfig,
+) -> Result<(CgraBinary, AsmReport), AssembleError> {
+    let (binary, report) = lower(cdfg, mapping, config)?;
+    check_fit(&report, config)?;
+    Ok((binary, report))
+}
+
+/// Lowers `mapping` of `cdfg` to its binary and report without comparing
+/// them with any memory size: [`assemble`] without [`check_fit`]. It
+/// reads only `config`'s geometry and LSUs, so a configuration that
+/// differs from `config` only in memory sizes lowers the mapping to the
+/// same binary and report, and `assemble` succeeds there exactly when
+/// the report passes `check_fit` there.
+///
+/// # Errors
+///
+/// Returns the first [`AssembleError`] found among the constraints of the
+/// module docs that `check_fit` does not check.
+pub fn lower(
     cdfg: &Cdfg,
     mapping: &KernelMapping,
     config: &CgraConfig,
@@ -268,16 +299,9 @@ pub fn assemble(
         persistent[s.0 as usize] = Some((home, reg as u8));
         persistent_count[home.0] += 1;
     }
-    for (i, &cnt) in persistent_count.iter().enumerate() {
-        let cap = config.tile(TileId(i)).rf_words;
-        if cnt > cap {
-            return Err(AssembleError::RfOverflow {
-                tile: TileId(i),
-                need: cnt,
-                capacity: cap,
-            });
-        }
-    }
+    // Per tile, the registers in use: the persistent ones, then the peak
+    // of each block's allocation.
+    let mut registers = persistent_count.clone();
     let home_of = |s: SymbolId| -> Result<(TileId, u8), AssembleError> {
         persistent
             .get(s.0 as usize)
@@ -297,16 +321,6 @@ pub fn assemble(
                     }
                 }
             }
-        }
-    }
-    for (i, consts) in crf.iter().enumerate() {
-        let cap = config.tile(TileId(i)).crf_words;
-        if consts.len() > cap {
-            return Err(AssembleError::CrfOverflow {
-                tile: TileId(i),
-                need: consts.len(),
-                capacity: cap,
-            });
         }
     }
 
@@ -477,8 +491,10 @@ pub fn assemble(
 
         // --- Linear-scan register allocation per tile. ---
         // Live intervals of an interval graph colour optimally with
-        // max-overlap registers, so this succeeds whenever the mapper's
-        // occupancy checks passed.
+        // max-overlap registers, so the binary fits whenever the mapper's
+        // occupancy checks passed. Each copy takes the lowest free
+        // register, from an unbounded file: whenever the registers used
+        // fit a tile's RF, this is the allocation that RF would give.
         for list in per_tile_ivals.iter_mut() {
             list.clear();
         }
@@ -488,10 +504,11 @@ pub fn assemble(
         }
         for (i, list) in per_tile_ivals.iter_mut().enumerate() {
             let tile = TileId(i);
-            let cap = config.tile(tile).rf_words;
-            let first_local = persistent_count[i];
             list.sort();
-            let mut free: Vec<u8> = (first_local..cap).rev().map(|r| r as u8).collect();
+            // Released registers, all below `next`, the lowest one never
+            // used in this block.
+            let mut free: Vec<u8> = Vec::new();
+            let mut next = persistent_count[i];
             let mut active: Vec<(usize, u8)> = Vec::new(); // (end, reg)
             for &(start, end, value) in list.iter() {
                 // Release registers whose interval ended before `start`.
@@ -504,13 +521,10 @@ pub fn assemble(
                     }
                 });
                 free.sort_by(|a, b| b.cmp(a)); // lowest register first (pop from end)
-                let Some(reg) = free.pop() else {
-                    return Err(AssembleError::RfOverflow {
-                        tile,
-                        need: active.len() + first_local + 1,
-                        capacity: cap,
-                    });
-                };
+                let reg = free.pop().unwrap_or_else(|| {
+                    next += 1;
+                    (next - 1) as u8
+                });
                 active.push((end, reg));
                 copies[tv(tile, value)] = CopySlot {
                     stamp: epoch,
@@ -518,6 +532,7 @@ pub fn assemble(
                     ready: start,
                 };
             }
+            registers[i] = registers[i].max(next);
         }
 
         // --- Resolve a read of `value` from `src`'s RF at `cycle`. ---
@@ -660,8 +675,11 @@ pub fn assemble(
         debug_assert!(words >= ops + moves, "tile {i}: word accounting broke");
         per_tile[i].2 = words - ops - moves;
     }
-    let report = AsmReport { per_tile };
-    check_fit(&report, config)?;
+    let report = AsmReport {
+        per_tile,
+        registers,
+        constants: crf.iter().map(Vec::len).collect(),
+    };
 
     let terminators = cdfg
         .block_ids()
@@ -690,23 +708,47 @@ pub fn assemble(
     Ok((binary, report))
 }
 
-/// The Section III-C fit check `n(Mo) + n(pnop) ≤ n(I)`: the first tile
-/// whose context words exceed its context memory is a
-/// [`AssembleError::ContextOverflow`].
+/// The capacity checks of [`assemble`]: each tile's registers fit its
+/// register file, its constants its constant register file, and its
+/// context words its context memory — the Section III-C fit
+/// `n(Mo) + n(pnop) ≤ n(I)`.
 ///
-/// [`assemble`] reads `cm_words` only here, once every other check has
-/// passed and the words are counted. So a mapping that assembles for one
-/// configuration assembles to the same binary and report for every
-/// configuration that differs from it only in context-memory sizes,
-/// exactly when its report passes this check there.
+/// Assembly reads `rf_words`, `crf_words` and `cm_words` only here, once
+/// [`lower`] has built the binary and counted its needs. So a mapping
+/// that lowers for one configuration lowers to the same binary and report
+/// for every configuration that differs from it only in memory sizes, and
+/// assembles there exactly when its report passes this check there.
 ///
 /// # Errors
 ///
-/// The overflow of the lowest-numbered tile that does not fit.
+/// The first overflow: an [`AssembleError::RfOverflow`], else an
+/// [`AssembleError::CrfOverflow`], else an
+/// [`AssembleError::ContextOverflow`], each of the lowest-numbered tile
+/// that does not fit.
 pub fn check_fit(report: &AsmReport, config: &CgraConfig) -> Result<(), AssembleError> {
+    for (i, &need) in report.registers.iter().enumerate() {
+        let (tile, capacity) = (TileId(i), config.tile(TileId(i)).rf_words);
+        if need > capacity {
+            return Err(AssembleError::RfOverflow {
+                tile,
+                need,
+                capacity,
+            });
+        }
+    }
+    for (i, &need) in report.constants.iter().enumerate() {
+        let (tile, capacity) = (TileId(i), config.tile(TileId(i)).crf_words);
+        if need > capacity {
+            return Err(AssembleError::CrfOverflow {
+                tile,
+                need,
+                capacity,
+            });
+        }
+    }
     for i in 0..report.per_tile.len() {
-        let tile = TileId(i);
-        let (need, capacity) = (report.words(tile), config.tile(tile).cm_words);
+        let (tile, capacity) = (TileId(i), config.tile(TileId(i)).cm_words);
+        let need = report.words(tile);
         if need > capacity {
             return Err(AssembleError::ContextOverflow {
                 tile,
@@ -838,6 +880,93 @@ mod tests {
         let (_, report) = assemble(&cdfg, &tiny_mapping(v, 0, 1), &CgraConfig::hom64()).unwrap();
         assert_eq!(check_fit(&report, &cfg), Err(err));
         assert_eq!(check_fit(&report, &CgraConfig::hom64()), Ok(()));
+    }
+
+    /// Two loads on tile 0 whose values tile 1 adds and stores: tile 0
+    /// needs 2 registers and 2 constants, tile 1 needs 1 of each.
+    fn two_loads() -> (Cdfg, KernelMapping) {
+        let mut b = CdfgBuilder::new("two_loads");
+        let _ = b.block("b0");
+        let (a0, a1, a2) = (b.constant(0), b.constant(1), b.constant(2));
+        let x = b.load_name(a0, "m");
+        let y = b.load_name(a1, "m");
+        let sum = b.op(cmam_cdfg::Opcode::Add, &[x, y]);
+        b.store(a2, sum, "m");
+        b.ret();
+        let placed = |op: u32, tile: usize, cycle: usize, operands: Vec<OperandSource>| PlacedOp {
+            op: cmam_cdfg::OpId(op),
+            tile: TileId(tile),
+            cycle,
+            operands,
+            direct_symbol_write: false,
+        };
+        let rf = |tile: usize, value: ValueId| OperandSource::Rf {
+            tile: TileId(tile),
+            value,
+        };
+        let mapping = KernelMapping {
+            blocks: vec![BlockMapping {
+                length: 4,
+                ops: vec![
+                    placed(0, 0, 0, vec![OperandSource::Const(0)]),
+                    placed(1, 0, 1, vec![OperandSource::Const(1)]),
+                    placed(2, 1, 2, vec![rf(0, x), rf(0, y)]),
+                    placed(3, 1, 3, vec![OperandSource::Const(2), rf(1, sum)]),
+                ],
+                moves: vec![],
+            }],
+            symbol_homes: std::collections::BTreeMap::new(),
+        };
+        (b.finish().unwrap(), mapping)
+    }
+
+    /// HOM64 with tile 0's register files set to `rf` and `crf` words and
+    /// every other tile's to one word.
+    fn register_files(rf: usize, crf: usize) -> CgraConfig {
+        let hom64 = CgraConfig::hom64();
+        let tiles = hom64
+            .tiles()
+            .map(|(t, &tile)| cmam_arch::TileConfig {
+                rf_words: if t == TileId(0) { rf } else { 1 },
+                crf_words: if t == TileId(0) { crf } else { 1 },
+                ..tile
+            })
+            .collect();
+        CgraConfig::new("RF", hom64.geometry(), tiles).unwrap()
+    }
+
+    #[test]
+    fn exact_register_files_assemble_identically_and_smaller_ones_do_not() {
+        let (cdfg, mapping) = two_loads();
+        let roomy = assemble(&cdfg, &mapping, &CgraConfig::hom64()).unwrap();
+        assert_eq!((roomy.1.registers[0], roomy.1.registers[1]), (2, 1));
+        assert_eq!((roomy.1.constants[0], roomy.1.constants[1]), (2, 1));
+        for (rf, crf) in [(2, 2), (3, 2), (2, 5)] {
+            let config = register_files(rf, crf);
+            assert_eq!(
+                assemble(&cdfg, &mapping, &config),
+                Ok(roomy.clone()),
+                "{rf}/{crf}"
+            );
+        }
+        let rf_short = register_files(1, 2);
+        let err = AssembleError::RfOverflow {
+            tile: TileId(0),
+            need: 2,
+            capacity: 1,
+        };
+        assert_eq!(check_fit(&roomy.1, &rf_short), Err(err.clone()));
+        assert_eq!(assemble(&cdfg, &mapping, &rf_short), Err(err));
+        let crf_short = register_files(2, 1);
+        let err = AssembleError::CrfOverflow {
+            tile: TileId(0),
+            need: 2,
+            capacity: 1,
+        };
+        assert_eq!(check_fit(&roomy.1, &crf_short), Err(err.clone()));
+        assert_eq!(assemble(&cdfg, &mapping, &crf_short), Err(err));
+        // Lowering reads no memory size.
+        assert_eq!(lower(&cdfg, &mapping, &crf_short), Ok(roomy));
     }
 
     #[test]

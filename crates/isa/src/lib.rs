@@ -13,9 +13,9 @@
 //! * [`program`] — assembled per-tile contexts ([`TileProgram`],
 //!   [`CgraBinary`]) with per-tile word counts;
 //! * [`mod@assemble`] — lowers a [`KernelMapping`] to a [`CgraBinary`]:
-//!   register allocation, CRF allocation, pnop compression and the
-//!   Section III-C accounting check
-//!   `n(Mo) + n(pnop) ≤ n(I)` for every tile.
+//!   register allocation, CRF allocation, pnop compression, then
+//!   [`check_fit`], the register-file checks and the Section III-C
+//!   accounting check `n(Mo) + n(pnop) ≤ n(I)` for every tile.
 
 pub mod assemble;
 pub mod instr;
@@ -23,7 +23,7 @@ pub mod listing;
 pub mod mapping;
 pub mod program;
 
-pub use assemble::{assemble, check_fit, AsmReport, AssembleError};
+pub use assemble::{assemble, check_fit, lower, AsmReport, AssembleError};
 pub use instr::{Instr, Operand};
 pub use mapping::{BlockMapping, KernelMapping, OperandSource, PlacedMove, PlacedOp};
 pub use program::{CgraBinary, TileProgram};
