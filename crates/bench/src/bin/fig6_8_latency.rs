@@ -94,13 +94,12 @@ fn min_memory() {
         WORDS.start(),
         WORDS.end(),
     );
-    let executed = after.executed - before.executed;
-    let in_regions = after.region_hits - before.region_hits;
     eprintln!(
-        "min-memory: {} jobs submitted, {} maps run, {in_regions} answered inside an earlier \
+        "min-memory: {} jobs submitted, {} maps run, {} answered inside an earlier \
          map's region, {} answered by the memo table or the artifact store",
         after.submitted - before.submitted,
-        executed - in_regions,
+        after.maps - before.maps,
+        after.region_hits - before.region_hits,
         (after.memory_hits - before.memory_hits) + (after.disk_hits - before.disk_hits),
     );
 }

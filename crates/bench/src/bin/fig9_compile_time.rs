@@ -2,17 +2,22 @@
 //! the kernels, normalised to the basic mapping. The paper reports an
 //! average of 1.8x for the full flow (17 s -> 30 s absolute).
 //!
-//! Compile times come out of the engine's [`cmam_bench::RunOutcome`] /
-//! [`cmam_bench::JobFailure`], which time the mapper search when the job
-//! executes. Because this binary *measures wall-clock*, it uses its own
-//! sequential, uncached engine: parallel workers would contend for cores
-//! and inflate every measurement, and a cache hit would report another
-//! run's timing. (`--jobs` is therefore ignored here.) Failed searches
-//! still consume compile time and are counted, as in the paper's setup.
+//! Compile times come out of [`cmam_bench::RunOutcome`] /
+//! [`cmam_bench::JobFailure`], which time the mapper search. Because this
+//! binary *measures wall-clock*, it runs each job through
+//! [`cmam_engine::execute`], one after another, so every flow's own map
+//! is timed: no memo table, no artifact store and no memory regions.
+//! Parallel workers would contend for cores and inflate every
+//! measurement, a cache hit would report another run's timing, and an
+//! engine answers a weighted, ACMAP or ECMAP job with a full-flow map
+//! and reports that map's time. (`--jobs` is therefore ignored here.)
+//! Failed searches still consume compile time and are counted, as in the
+//! paper's setup.
 
 use cmam_arch::CgraConfig;
-use cmam_bench::{emit_table, Engine, EngineOptions, JobRequest};
+use cmam_bench::{emit_table, JobRequest};
 use cmam_core::FlowVariant;
+use cmam_engine::execute;
 use std::time::Duration;
 
 /// Averaged wall-clock per pipeline phase plus the timing-noise-free
@@ -27,12 +32,8 @@ struct Effort {
     rollbacks: u64,
 }
 
-fn time_variant(engine: &Engine, variant: FlowVariant, config: &CgraConfig) -> Effort {
+fn time_variant(variant: FlowVariant, config: &CgraConfig) -> Effort {
     let specs = cmam_kernels::all();
-    let requests: Vec<JobRequest> = specs
-        .iter()
-        .map(|s| JobRequest::flow(s, variant, config))
-        .collect();
     let mut effort = Effort {
         time: Duration::ZERO,
         assemble: Duration::ZERO,
@@ -41,8 +42,8 @@ fn time_variant(engine: &Engine, variant: FlowVariant, config: &CgraConfig) -> E
         peak_population: 0,
         rollbacks: 0,
     };
-    for r in engine.run_batch(&requests) {
-        match r {
+    for spec in &specs {
+        match execute(&JobRequest::flow(spec, variant, config)) {
             Ok(out) => {
                 effort.time += out.compile_time;
                 effort.assemble += out.assemble_time;
@@ -66,16 +67,9 @@ fn main() {
     cmam_bench::cli::parse("fig9_compile_time", &[]);
     let _obs = cmam_bench::obs_session("fig9_compile_time");
     println!("# Fig 9: average compilation time per flow step\n");
-    // A sequential, uncached engine: timing must be contention- and
-    // memoisation-free.
-    let engine = Engine::new(EngineOptions {
-        jobs: 1,
-        cache_dir: None,
-        cache_bytes: None,
-    });
     // The aware variants compile for HET1 (a constrained target); the
     // basic flow compiles for HOM64, as in the paper's setup.
-    let base = time_variant(&engine, FlowVariant::Basic, &CgraConfig::hom64());
+    let base = time_variant(FlowVariant::Basic, &CgraConfig::hom64());
     let row = |label: String, e: &Effort, base_secs: f64| {
         vec![
             label,
@@ -96,7 +90,7 @@ fn main() {
         FlowVariant::Ecmap,
         FlowVariant::Cab,
     ] {
-        let e = time_variant(&engine, variant, &CgraConfig::het1());
+        let e = time_variant(variant, &CgraConfig::het1());
         rows.push(row(variant.to_string(), &e, base_secs));
     }
     // The per-phase columns (`asm`, `sim`) make a regression in any

@@ -14,7 +14,8 @@
 //! CI determinism diffs):
 //!
 //! * the one-line engine cache summary — submitted / dedup / memory hits
-//!   / disk hits / executed (misses), tagged `cold`, `warm` or `mixed`
+//!   / disk hits / executed (misses) / maps run / jobs answered in a
+//!   certified region, tagged `cold`, `warm` or `mixed`
 //!   so a first run is distinguishable from a cached re-run at a glance;
 //! * with `--metrics` (or [`ObsSession::with_metrics`], the default for
 //!   `smoke`, `dse_pareto`, `input_sweep` and `gen_suite`): a `METRICS`
@@ -64,13 +65,15 @@ impl ObsSession {
         let temperature = temperature(&stats);
         Some(format!(
             "{}: engine cache: {} submitted, {} dedup, {} mem hits, {} disk hits, \
-             {} executed, {} of them not mapped (in a certified region) ({temperature})",
+             {} executed, {} maps run, {} jobs answered in a certified region \
+             ({temperature})",
             self.name,
             stats.submitted,
             stats.deduped,
             stats.memory_hits,
             stats.disk_hits,
             stats.executed,
+            stats.maps,
             stats.region_hits,
         ))
     }

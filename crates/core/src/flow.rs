@@ -130,8 +130,9 @@ pub struct MapStats {
 
 impl MapStats {
     /// Flushes this run's aggregated statistics into the global
-    /// `mapper.*` metrics — called once per [`Mapper::map`], so the
-    /// search loops themselves carry no metrics instructions. The totals
+    /// `mapper.*` metrics — called once per [`Mapper::map`] and once per
+    /// job the engine answers with a map, so the search loops themselves
+    /// carry no metrics instructions. The totals
     /// are deterministic because `MapStats` itself is a pure function of
     /// the inputs and the seed (pinned by the golden-equivalence suite).
     pub fn flush_metrics(&self, failed: bool) {
@@ -400,18 +401,22 @@ impl Mapper {
     /// flows only).
     pub fn map(&self, cdfg: &Cdfg, config: &CgraConfig) -> Result<MapResult, MapError> {
         let CertifiedMap { result, stats, .. } = self.map_certified(cdfg, config);
+        stats.flush_metrics(result.is_err());
         result.map(|mapping| MapResult { mapping, stats })
     }
 
     /// [`Mapper::map`], returning its statistics on failure too and the
-    /// memory region its result holds for.
+    /// memory region its result holds for. Unlike [`Mapper::map`] it
+    /// leaves the `mapper.*` counters alone: a caller that answers a job
+    /// with the map flushes its statistics
+    /// ([`MapStats::flush_metrics`]), once per job it answers, and one
+    /// that answers none flushes nothing.
     pub fn map_certified(&self, cdfg: &Cdfg, config: &CgraConfig) -> CertifiedMap {
         let _span = cmam_obs::span!("map", blocks = cdfg.num_blocks() as u64);
         let mut stats = MapStats::default();
         let mut stages = StageNs::default();
         let pre = MapPre::new(config);
         let result = self.map_impl(cdfg, config, &pre, &mut stats, &mut stages);
-        stats.flush_metrics(result.is_err());
         stages.flush_metrics();
         CertifiedMap {
             result,

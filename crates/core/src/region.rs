@@ -34,7 +34,35 @@
 //! the same candidate pools, so the seeded pruning draws the same random
 //! numbers: the map returns the same mapping (or error) and the same
 //! [`MapStats`](crate::MapStats).
+//!
+//! # Flow families
+//!
+//! The memory-aware steps only prune, and each context-memory comparison
+//! runs behind one flag of [`MapperOptions`]:
+//!
+//! | comparison | runs when |
+//! |---|---|
+//! | the CAB blacklist (`tile_open`, `route_value`, `try_recompute`) | `cab` |
+//! | the ACMAP verdicts (`verdict_base`, `child_verdicts`) | `acmap` |
+//! | the ECMAP verdicts and flip threshold (same two) | `ecmap` |
+//! | the finalize fit | any of the three ([`MapperOptions::memory_aware`]) |
+//!
+//! When every context-memory comparison of a map under flags `F` held,
+//! no filter dropped anything: nothing was blacklisted, every verdict
+//! passed, every finalize fit held, so `acmap_pruned` and `ecmap_pruned`
+//! are 0 and every pool is the unpruned one. Take a job under flags
+//! `F′ ⊆ F` with everything else the mapper reads equal and its memories
+//! inside the region. By induction over the run it makes the same
+//! trials: each comparison it makes is one `F` also made at the same
+//! point, and that comparison holds at every size inside the region.
+//! Its pools, seeded draws, `KernelMapping` and `MapStats` are therefore
+//! the map's. A job with no flag (the weighted flow) reads no context
+//! memory at all, so only its register files must lie inside the region.
+//! [`CmRegion::covers`] states the rule. It answers weaker flows with
+//! successful maps only: a failed map's error names its flow's step
+//! (`MemoryConstraint` under an aware flow, `Unroutable` without one).
 
+use crate::MapperOptions;
 use cmam_arch::{CgraConfig, TileConfig, TileId};
 use std::cell::Cell;
 
@@ -82,12 +110,71 @@ impl CmRegion {
     /// Whether every memory of every tile of `config` lies inside the
     /// region (a configuration with another tile count never does).
     pub fn contains(&self, config: &CgraConfig) -> bool {
+        self.holds(config, &Memory::ALL)
+    }
+
+    /// Whether every context-memory comparison of the map held: no tile's
+    /// context-memory interval has a finite upper bound.
+    pub fn all_held(&self) -> bool {
+        self.bounds
+            .iter()
+            .all(|b| b[Memory::Cm as usize].1 == usize::MAX)
+    }
+
+    /// Whether a map under `mapped`, whose region this is and which
+    /// `succeeded` or not, answers a job under `job` on `config`, that is
+    /// returns the job's own mapping (or error) and [`MapStats`]. Both
+    /// option sets must agree on everything but the three memory-step
+    /// flags ([`MapperOptions::threads`] is ignored, like the mapper
+    /// ignores it). Then:
+    ///
+    /// * under the same flags, when `config` lies inside the region, for
+    ///   any outcome (see the module docs);
+    /// * under strictly fewer flags, when the map succeeded, every
+    ///   context-memory comparison held ([`all_held`](Self::all_held)) and
+    ///   `config` lies inside the region, its context memories left out
+    ///   when the job has no flag (see "Flow families" in the module
+    ///   docs).
+    ///
+    /// [`MapStats`]: crate::MapStats
+    pub fn covers(
+        &self,
+        mapped: &MapperOptions,
+        succeeded: bool,
+        job: &MapperOptions,
+        config: &CgraConfig,
+    ) -> bool {
+        let flags = |o: &MapperOptions| [o.acmap, o.ecmap, o.cab];
+        let family = |o: &MapperOptions| MapperOptions {
+            acmap: false,
+            ecmap: false,
+            cab: false,
+            threads: 0,
+            ..o.clone()
+        };
+        let (m, j) = (flags(mapped), flags(job));
+        if family(mapped) != family(job) {
+            false
+        } else if m == j {
+            self.contains(config)
+        } else if !succeeded || j.iter().zip(m).any(|(&j, m)| j && !m) || !self.all_held() {
+            false
+        } else if job.memory_aware() {
+            self.contains(config)
+        } else {
+            self.holds(config, &[Memory::Rf, Memory::Crf])
+        }
+    }
+
+    /// Whether each of `memories` of every tile of `config` lies inside
+    /// the region.
+    fn holds(&self, config: &CgraConfig, memories: &[Memory]) -> bool {
         self.bounds.len() == config.geometry().num_tiles()
             && config.tiles().zip(&self.bounds).all(|((_, tile), b)| {
-                Memory::ALL
-                    .iter()
-                    .zip(b)
-                    .all(|(m, &(lo, hi))| (lo..=hi).contains(&m.size(tile)))
+                memories.iter().all(|&m| {
+                    let (lo, hi) = b[m as usize];
+                    (lo..=hi).contains(&m.size(tile))
+                })
             })
     }
 }
@@ -157,6 +244,43 @@ mod tests {
             ][..],
             "{region:?}"
         );
+    }
+
+    #[test]
+    fn weaker_flows_only_from_successful_maps_whose_comparisons_all_held() {
+        use crate::FlowVariant::{Acmap, Basic, Cab, Weighted};
+        let hom64 = CgraConfig::hom64();
+        let tight = CgraConfig::builder(4, 4).uniform_cm(16).build().unwrap();
+        let ntiles = hom64.geometry().num_tiles();
+        let held = RegionLog::new(ntiles);
+        held.record(Memory::Cm, TileId(0), 20, true); // cm ≥ 20
+        let held = held.region();
+        let (cab, acmap) = (Cab.options(), Acmap.options());
+        assert!(held.covers(&cab, true, &acmap, &hom64));
+        assert!(held.covers(&cab, false, &cab, &hom64), "its own flow");
+        assert!(!held.covers(&cab, false, &acmap, &hom64), "a failure");
+        assert!(!held.covers(&acmap, true, &cab, &hom64), "a stronger flow");
+        assert!(
+            !held.covers(&cab, true, &Basic.options(), &hom64),
+            "forward"
+        );
+        let reseeded = MapperOptions { seed: 1, ..acmap };
+        assert!(!held.covers(&cab, true, &reseeded, &hom64), "another seed");
+        let threaded = MapperOptions {
+            threads: 4,
+            ..cab.clone()
+        };
+        assert!(held.covers(&threaded, true, &Weighted.options(), &hom64));
+        // Below a context-memory lower bound only the weighted flow, which
+        // reads no context memory, stays covered.
+        assert!(!held.covers(&cab, true, &Acmap.options(), &tight));
+        assert!(held.covers(&cab, true, &Weighted.options(), &tight));
+        let overflowed = RegionLog::new(ntiles);
+        overflowed.record(Memory::Cm, TileId(3), 80, false); // cm ≤ 79
+        let overflowed = overflowed.region();
+        assert!(!overflowed.all_held());
+        assert!(overflowed.covers(&cab, true, &cab, &hom64));
+        assert!(!overflowed.covers(&cab, true, &Weighted.options(), &hom64));
     }
 
     /// Every outcome the recorder turns into a bound is the comparison's

@@ -2,7 +2,7 @@
 
 use crate::fingerprint::{Fingerprint, Fnv64};
 use crate::region::Produced;
-use cmam_arch::CgraConfig;
+use cmam_arch::{CgraConfig, TileConfig};
 use cmam_core::{CertifiedMap, CmRegion, FlowVariant, MapStats, Mapper, MapperOptions};
 use cmam_isa::{AsmReport, CgraBinary};
 use cmam_kernels::KernelSpec;
@@ -25,7 +25,10 @@ pub struct RunOutcome {
     /// time — so compile-time experiments stay reproducible across runs.
     /// A job the engine answers inside the memory region of an earlier
     /// map (see [`cmam_core::region`]) keeps that map's time the same
-    /// way.
+    /// way, also when that map was made for another flow: the full flow
+    /// answers the flows that prune less, so an engine's weighted, ACMAP
+    /// or ECMAP job may report a full-flow map's time. Time one flow's
+    /// own map with [`execute`].
     pub compile_time: Duration,
     /// Wall-clock assembly time (same cache-hit caveat as
     /// [`RunOutcome::compile_time`]).
@@ -238,9 +241,20 @@ pub(crate) struct Certificate {
     pub(crate) unfit: Option<Lowered>,
 }
 
-/// [`execute`], plus what its map certified.
-pub(crate) fn execute_certified(req: &JobRequest<'_>) -> (JobResult, Certificate) {
-    let _span = cmam_obs::span!("job");
+/// One map of a job's kernel, lowered ([`cmam_isa::lower`], which reads
+/// no memory size) but not fitted to any job's memories.
+#[derive(Debug)]
+pub(crate) struct LoweredMap {
+    /// The options it mapped under.
+    pub(crate) options: MapperOptions,
+    /// Its binary, or the map's or lowering's failure.
+    pub(crate) lowered: Result<Lowered, JobFailure>,
+    pub(crate) region: CmRegion,
+    pub(crate) stats: MapStats,
+}
+
+/// Maps and lowers `req`; feeds no `mapper.*` counter.
+fn map_and_lower(req: &JobRequest<'_>) -> LoweredMap {
     let mapper = Mapper::new(req.options.clone());
     let t0 = Instant::now();
     let CertifiedMap {
@@ -252,27 +266,54 @@ pub(crate) fn execute_certified(req: &JobRequest<'_>) -> (JobResult, Certificate
     // Per-phase latency histograms, fed from the wall times this function
     // already measures (so tracing on/off changes nothing here).
     cmam_obs::histogram!("phase.map_us").record(compile_time.as_micros() as u64);
+    let fail = |stage, message: String| JobFailure::pipeline(stage, message, compile_time);
+    let lowered = result
+        .map_err(|e| fail(FailStage::Map, e.to_string()))
+        .and_then(|mapping| {
+            let t1 = Instant::now();
+            let lowered = cmam_isa::lower(&req.spec.cdfg, &mapping, req.config);
+            let times = (compile_time, t1.elapsed());
+            let (binary, report) = lowered.map_err(|e| fail(FailStage::Assemble, e.to_string()))?;
+            Ok(Lowered {
+                binary,
+                report,
+                times,
+            })
+        });
+    LoweredMap {
+        options: req.options.clone(),
+        lowered,
+        region,
+        stats,
+    }
+}
+
+/// [`execute`], plus what its map certified.
+pub(crate) fn execute_certified(req: &JobRequest<'_>) -> (JobResult, Certificate) {
+    let _span = cmam_obs::span!("job");
+    let LoweredMap {
+        lowered,
+        region,
+        stats,
+        ..
+    } = map_and_lower(req);
+    stats.flush_metrics(matches!(&lowered, Err(f) if f.stage == FailStage::Map));
     let mut certificate = Certificate {
         region,
         stats,
         unfit: None,
     };
-    let fail = |stage, message: String| JobFailure::pipeline(stage, message, compile_time);
-    let mapping = match result {
-        Ok(mapping) => mapping,
-        Err(e) => return (Err(fail(FailStage::Map, e.to_string())), certificate),
-    };
-    let t1 = Instant::now();
-    let lowered = cmam_isa::lower(&req.spec.cdfg, &mapping, req.config);
-    let assemble_time = t1.elapsed();
-    let (binary, report) = match lowered {
+    let Lowered {
+        binary,
+        report,
+        times,
+    } = match lowered {
         Ok(lowered) => lowered,
-        Err(e) => return (Err(fail(FailStage::Assemble, e.to_string())), certificate),
+        Err(failure) => return (Err(failure), certificate),
     };
-    let times = (compile_time, assemble_time);
     let result = match cmam_isa::check_fit(&report, req.config) {
         Ok(()) => {
-            cmam_obs::histogram!("phase.assemble_us").record(assemble_time.as_micros() as u64);
+            cmam_obs::histogram!("phase.assemble_us").record(times.1.as_micros() as u64);
             run_binary(req, binary, report, times, certificate.stats.clone())
         }
         Err(e) => {
@@ -281,17 +322,53 @@ pub(crate) fn execute_certified(req: &JobRequest<'_>) -> (JobResult, Certificate
                 report,
                 times,
             });
-            Err(fail(FailStage::Assemble, e.to_string()))
+            Err(JobFailure::pipeline(
+                FailStage::Assemble,
+                e.to_string(),
+                times.0,
+            ))
         }
     };
     (result, certificate)
 }
 
-/// Answers `req` with what an earlier job's map produced, when that map's
-/// certified memory region holds `req`'s memories, which by construction
-/// makes it the map `req` would compute (see [`crate::region`]): the
-/// producer's map failure, or its binary, which assembles for
-/// `req.config` exactly when the producer's report passes
+/// Every tile's context memory in [`map_unbounded`]'s configuration, as
+/// in [`CgraConfig::unconstrained_4x4`].
+const UNBOUNDED_CM: usize = usize::MAX / 2;
+
+/// The full flow's map of `req`'s kernel on `req`'s configuration with
+/// every context memory unbounded (see [`crate::region`]). Nothing reads
+/// `cm_words` after the map, so its binary and report are those of every
+/// job it answers, and each of them re-runs [`cmam_isa::check_fit`] on
+/// its own memories. Feeds no `mapper.*` counter.
+pub(crate) fn map_unbounded(req: &JobRequest<'_>) -> LoweredMap {
+    let tiles = req
+        .config
+        .tiles()
+        .map(|(_, tile)| TileConfig {
+            cm_words: UNBOUNDED_CM,
+            ..*tile
+        })
+        .collect();
+    let config = CgraConfig::new(req.config.name(), req.config.geometry(), tiles)
+        .expect("only the context memories changed");
+    map_and_lower(&JobRequest {
+        spec: req.spec,
+        config: &config,
+        options: MapperOptions {
+            acmap: true,
+            ecmap: true,
+            cab: true,
+            ..req.options.clone()
+        },
+    })
+}
+
+/// Answers `req` with what an earlier map produced, when that map's
+/// certified memory region covers `req` ([`cmam_core::CmRegion::covers`]),
+/// which by construction makes it the map `req` would compute (see
+/// [`crate::region`]): the producer's map failure, or its binary, which
+/// assembles for `req.config` exactly when the producer's report passes
 /// [`cmam_isa::check_fit`] there, then simulated and checked like any
 /// job's (`req.spec.mem` may differ from the producer's). The outcome
 /// keeps the producer's compile and assembly times, the cache-hit
@@ -312,7 +389,7 @@ pub(crate) fn execute_in_region(
                 return Err(failure.clone());
             }
         },
-        Produced::Unfit(unfit) => (&unfit.binary, &unfit.report, unfit.times),
+        Produced::Lowered(lowered) => (&lowered.binary, &lowered.report, lowered.times),
     };
     stats.flush_metrics(false);
     cmam_isa::check_fit(report, req.config)

@@ -22,7 +22,14 @@
 //!   region reuses that map and its binary, whether or not that binary
 //!   fit the first job's memories: it re-runs [`cmam_isa::check_fit`] on
 //!   its own memories, simulates and checks, but does not map (see
-//!   [`cmam_core::region`] and [`EngineStats::region_hits`]).
+//!   [`cmam_core::region`] and [`EngineStats::region_hits`]);
+//! * **flow families** — a successful map whose context-memory
+//!   comparisons all held also answers the same kernel under every flow
+//!   that prunes less, and a weighted, ACMAP or ECMAP job that finds no
+//!   region first maps the full flow on unbounded context memory, once
+//!   per kernel, options and array structure, which answers the weighted
+//!   job outright ([`cmam_core::CmRegion::covers`],
+//!   [`EngineStats::maps`]).
 //!
 //! Batches execute on the process-wide persistent [`cmam_pool`], one job
 //! per worker; each job maps on the worker thread that runs it.
@@ -159,11 +166,17 @@ pub struct EngineStats {
     pub disk_hits: u64,
     /// Jobs actually executed (mapped, assembled, simulated).
     pub executed: u64,
-    /// Executed jobs that did not map: the engine answered them inside
+    /// Maps the executed jobs ran: each job's own map, and each
+    /// full-flow map on unbounded context memory that a weighted, ACMAP
+    /// or ECMAP job ran first (see the crate docs), whether or not it
+    /// answered that job.
+    pub maps: u64,
+    /// Executed jobs that ran no map: the engine answered them inside
     /// the memory region of an earlier map (see the crate docs).
-    /// At `jobs > 1` which jobs these are, and so this count, depends on
-    /// scheduling; the results do not. It therefore has no `engine.*`
-    /// metrics counter, whose totals are promised deterministic.
+    /// At `jobs > 1` which jobs these are, and so this count and
+    /// [`maps`](Self::maps), depends on scheduling; the results do not.
+    /// Neither therefore has an `engine.*` metrics counter, whose totals
+    /// are promised deterministic.
     pub region_hits: u64,
     /// Panicking job attempts that were retried (attempts beyond the
     /// first, across all executed jobs).
@@ -209,37 +222,59 @@ struct PendingJob {
     options: MapperOptions,
 }
 
+/// How one job ran, apart from its result.
+#[derive(Debug, Clone, Copy, Default)]
+struct Ran {
+    attempts: u32,
+    /// Maps run for the job: its own, and an unbounded one.
+    maps: u64,
+    /// Whether an earlier map answered the job and it ran none.
+    region_hit: bool,
+}
+
 /// Executes one job on a pool worker, with panic recovery: inside the
-/// region of an earlier map under the same map key when one holds the
-/// job's memories, otherwise mapped, its region published for later
-/// jobs. Returns the job's memo entry, the attempts it took and whether a
-/// region answered it.
-fn run_pending(j: &PendingJob, regions: &RegionTable) -> (Arc<Memo>, u32, bool) {
+/// region of an earlier map of the same map key when one covers the job,
+/// otherwise mapped (after the key's unbounded map, when the job takes
+/// one and it covers the job, see [`region`]), its map published for
+/// later jobs. Returns the job's memo entry and how it ran.
+fn run_pending(j: &PendingJob, regions: &RegionTable) -> (Arc<Memo>, Ran) {
     let request = JobRequest {
         spec: &j.spec,
         config: &j.config,
         options: j.options.clone(),
     };
     let map_key = region::map_key(&request);
-    if let Some((producer, stats)) = regions.find(map_key, &j.config) {
-        let (result, attempts) = job::with_recovery(j.key, || {
-            job::execute_in_region(&request, &producer, &stats)
-        });
-        return (Memo::new(result), attempts, true);
-    }
-    // What the last attempt's map certified (`None` if every attempt
-    // panicked before its map returned).
+    let in_region = || {
+        let (producer, stats) = regions.find(map_key, &request.options, &j.config)?;
+        Some(job::execute_in_region(&request, &producer, &stats))
+    };
+    let mut ran = Ran::default();
+    // What the last attempt's own map certified (`None` if no attempt
+    // mapped the job's own flow to the end).
     let mut certificate = None;
     let (result, attempts) = job::with_recovery(j.key, || {
+        if let Some(result) = in_region() {
+            ran.region_hit = ran.maps == 0;
+            return result;
+        }
+        if region::takes_unbounded(&request.options) && regions.claim_unbounded(map_key) {
+            ran.maps += 1;
+            regions.publish_unbounded(map_key, job::map_unbounded(&request));
+            if let Some(result) = in_region() {
+                return result;
+            }
+        }
+        ran.maps += 1;
         let (result, certified) = job::execute_certified(&request);
         certificate = Some(certified);
         result
     });
+    ran.attempts = attempts;
     let memo = Memo::new(result);
     if let Some(certificate) = certificate {
-        regions.publish(map_key, certificate, &memo);
+        regions.publish(map_key, &request.options, certificate, &memo);
     }
-    (memo, attempts, false)
+    (memo, ran)
 }
 
 /// The batch compilation engine. One instance per process is the normal
@@ -385,7 +420,7 @@ impl Engine {
             done
         });
         for (j, slot) in jobs.iter().zip(computed) {
-            let (memo, attempts, in_region) = match slot {
+            let (memo, ran) = match slot {
                 Ok(done) => done,
                 // Defense in depth: `job::with_recovery` already
                 // quarantines panics, so an escaped one means the
@@ -396,12 +431,15 @@ impl Engine {
                         format!("escaped job recovery: {}", p.message()),
                         1,
                     ))),
-                    1,
-                    false,
+                    Ran {
+                        attempts: 1,
+                        ..Ran::default()
+                    },
                 ),
             };
-            batch_stats.retries += u64::from(attempts.saturating_sub(1));
-            batch_stats.region_hits += u64::from(in_region);
+            batch_stats.retries += u64::from(ran.attempts.saturating_sub(1));
+            batch_stats.maps += ran.maps;
+            batch_stats.region_hits += u64::from(ran.region_hit);
             if matches!(&memo.result, Err(f) if f.stage == FailStage::Panic) {
                 batch_stats.quarantined += 1;
             }
@@ -414,6 +452,7 @@ impl Engine {
             stats.memory_hits += batch_stats.memory_hits;
             stats.disk_hits += batch_stats.disk_hits;
             stats.executed += batch_stats.executed;
+            stats.maps += batch_stats.maps;
             stats.region_hits += batch_stats.region_hits;
             stats.retries += batch_stats.retries;
             stats.quarantined += batch_stats.quarantined;

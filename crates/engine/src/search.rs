@@ -680,6 +680,7 @@ fn engine_delta(before: EngineStats, after: EngineStats) -> EngineStats {
         memory_hits: after.memory_hits - before.memory_hits,
         disk_hits: after.disk_hits - before.disk_hits,
         executed: after.executed - before.executed,
+        maps: after.maps - before.maps,
         region_hits: after.region_hits - before.region_hits,
         retries: after.retries - before.retries,
         quarantined: after.quarantined - before.quarantined,

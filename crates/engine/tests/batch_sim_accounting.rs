@@ -55,6 +55,7 @@ fn sweeps_count_like_run_one_and_decode_once() {
         EngineStats {
             submitted: 2,
             executed: 1,
+            maps: 1,
             memory_hits: 1,
             ..EngineStats::default()
         }

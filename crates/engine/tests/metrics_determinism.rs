@@ -2,7 +2,8 @@
 //! namespaces (`mapper.*`, `sim.*`, `engine.*`), the counter deltas of a
 //! batch, and of an input sweep cut into lane chunks, are a pure function
 //! of the submitted jobs — the engine worker count must not leak into
-//! them. The scheduling-shaped namespaces
+//! them, nor the order in which the jobs of one flow family meet the
+//! engine, which at more than one worker is a matter of scheduling. The scheduling-shaped namespaces
 //! (`pool.*`, the `phase.*`/`batch.*` latency histograms and
 //! `obs.warnings`) are documented as nondeterministic and excluded, and
 //! so are the mapper's `mapper.stage_ns.*` stage timers: they count
@@ -12,6 +13,7 @@
 //! is process-global, so a sibling test feeding counters concurrently
 //! would corrupt the deltas.
 
+use cmam_arch::CgraConfig;
 use cmam_core::FlowVariant;
 use cmam_engine::{BatchSimRequest, Engine, EngineOptions, JobRequest};
 use std::collections::BTreeMap;
@@ -103,4 +105,69 @@ fn counter_deltas_are_identical_across_worker_counts() {
         "semantic counter deltas diverged across worker counts:\n{}",
         diffs.join("\n")
     );
+
+    flow_family_orders_feed_the_same_counters();
+}
+
+/// Every counter that differs between `earlier` and `later`, as a
+/// `name: earlier -> later` line.
+fn diff(earlier: &BTreeMap<&'static str, u64>, later: &BTreeMap<&'static str, u64>) -> Vec<String> {
+    let names: std::collections::BTreeSet<_> = earlier.keys().chain(later.keys()).collect();
+    names
+        .into_iter()
+        .filter(|name| earlier.get(*name) != later.get(*name))
+        .map(|name| format!("  {name}: {:?} -> {:?}", earlier.get(name), later.get(name)))
+        .collect()
+}
+
+/// DC Filter needs more than 4 context words on some tile under every
+/// flow, so an ACMAP job on 4 words lies outside the region of the
+/// weighted job's full-flow map on unbounded memory: whichever of the two
+/// meets the engine first runs that map, and the ACMAP job maps its own
+/// flow besides. Only the map that answers a job may feed `mapper.*`, so
+/// both orders, and the batch at two workers, feed the same counters.
+fn flow_family_orders_feed_the_same_counters() {
+    let spec = cmam_kernels::dc::spec();
+    let config = CgraConfig::builder(4, 4)
+        .name("U4")
+        .uniform_cm(4)
+        .build()
+        .expect("valid");
+    let acmap = JobRequest::flow(&spec, FlowVariant::Acmap, &config);
+    let weighted = JobRequest::flow(&spec, FlowVariant::Weighted, &config);
+    let run = |jobs: usize, batch: &[JobRequest<'_>]| {
+        let engine = Engine::new(EngineOptions {
+            jobs,
+            cache_dir: None,
+            cache_bytes: None,
+        });
+        let delta = counter_delta(|| {
+            engine.run_batch(batch);
+        });
+        (delta, engine.stats())
+    };
+    let (acmap_first, stats) = run(1, &[acmap.clone(), weighted.clone()]);
+    assert_eq!(
+        (stats.maps, stats.region_hits),
+        (2, 1),
+        "the ACMAP job runs the full-flow map and its own, the weighted job neither: {stats:?}"
+    );
+    assert_eq!(
+        acmap_first.get("mapper.maps").copied(),
+        Some(2),
+        "one map's statistics per job: {acmap_first:?}"
+    );
+    let (weighted_first, _) = run(1, &[weighted.clone(), acmap.clone()]);
+    let (together, _) = run(2, &[acmap, weighted]);
+    for (name, other) in [
+        ("the weighted job first", &weighted_first),
+        ("both at two workers", &together),
+    ] {
+        let diffs = diff(&acmap_first, other);
+        assert!(
+            diffs.is_empty(),
+            "counters moved between the ACMAP job first and {name}:\n{}",
+            diffs.join("\n")
+        );
+    }
 }
