@@ -22,7 +22,9 @@ use std::time::Duration;
 
 /// Averaged wall-clock per pipeline phase plus the timing-noise-free
 /// search-effort counters (candidates generated, peak candidate pool,
-/// rollbacks) over the kernel set.
+/// rollbacks) over the kernel set. The counters count what the mapper's
+/// candidate generator runs and keeps, so they move with any change to
+/// how early it stops, while every mapping stays the same.
 struct Effort {
     time: Duration,
     assemble: Duration,
@@ -96,7 +98,8 @@ fn main() {
     // The per-phase columns (`asm`, `sim`) make a regression in any
     // pipeline stage visible, not just the mapper; the three rightmost
     // columns measure search effort in counters, not seconds — they
-    // compare across machines and stay stable under load.
+    // compare across machines and stay stable under load. They count the
+    // trials the generator ran and the largest pool it generated.
     emit_table(
         &[
             "Flow",

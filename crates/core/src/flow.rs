@@ -16,7 +16,7 @@
 //! homes before moving to the next block.
 
 use crate::options::{MapperOptions, Traversal};
-use crate::partial::{FlowState, MapCtx, MapPre, Partial};
+use crate::partial::{FlowState, MapCtx, MapPre, Partial, VerdictBase};
 use crate::prune::stochastic_prune_by;
 use crate::region::CmRegion;
 use crate::schedule::priority_order;
@@ -28,6 +28,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 use std::time::Instant;
 
 /// Why a kernel could not be mapped.
@@ -95,9 +96,11 @@ impl From<ValidateError> for MapError {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MapStats {
     /// Successful trial bindings: the trials that ran and placed the op.
-    /// Expansion tries slots in order of a lower bound on their rank and
-    /// stops once no untried slot can enter the expansion cut, so this
-    /// counts only the trials the cut needed, not the whole window.
+    /// Expansion tries the whole population's slots in order of a lower
+    /// bound on their place in the pool and stops once no untried slot
+    /// can enter its partial's cut or rank ahead of what stochastic
+    /// pruning keeps, so this counts only the trials those cuts needed,
+    /// not the whole window.
     pub candidates: u64,
     /// The expansion window: every `(partial, tile, cycle)` an expansion
     /// considers, tried or not — including tiles that cannot take the op
@@ -105,19 +108,26 @@ pub struct MapStats {
     /// `max_schedule` and slots the bound ordering leaves untried. Each
     /// expansion adds `tiles × (slack + 1)`.
     pub attempts: u64,
-    /// Partials dropped by the ACMAP filter.
+    /// Generated candidates dropped by the ACMAP filter. The pool holds
+    /// only the candidates generated before the expansion stopped, so a
+    /// candidate ranked past what pruning keeps may never be counted.
     pub acmap_pruned: u64,
-    /// Partials dropped by the ECMAP filter.
+    /// Generated candidates that passed ACMAP and were dropped by the
+    /// ECMAP filter (same pool as `acmap_pruned`).
     pub ecmap_pruned: u64,
-    /// Partials dropped by the stochastic pruning.
+    /// Filtered candidates dropped by the stochastic pruning, its
+    /// truncation to `4 × population` included (same pool).
     pub stochastic_pruned: u64,
     /// Partials that failed finalisation (commit or exact fit).
     pub finalize_failures: u64,
     /// Number of slack escalations needed.
     pub escalations: u64,
-    /// Largest candidate pool alive at once (after binding expansion,
-    /// before the memory filters) — the search's peak memory pressure,
-    /// a timing-noise-free effort measure for Fig 9 and the DSE sweep.
+    /// Largest candidate pool generated at once (after binding
+    /// expansion, before the memory filters) — the search's peak memory
+    /// pressure, a timing-noise-free effort measure for Fig 9 and the DSE
+    /// sweep. Expansion stops once pruning's truncation is settled, so a
+    /// pool holds at most a few cuts past its `4 × population`-th
+    /// filtered candidate.
     pub peak_population: u64,
     /// Trial bindings undone on the shared partial state during candidate
     /// expansion — every trial that ran and left a delta (surviving
@@ -234,6 +244,11 @@ struct Candidate {
     ecmap_ok: bool,
 }
 
+/// A candidate's place in the pool stochastic pruning truncates: cost,
+/// then parent, tile and cycle. A slot's *bound key* puts the lower
+/// bound of its trial's cost first.
+type Key = ((usize, usize), u32, TileId, u32);
+
 impl Candidate {
     /// Rank within one parent's candidates: cost, then tile, then cycle —
     /// a total order, so selecting by it keeps exactly what a stable sort
@@ -241,10 +256,22 @@ impl Candidate {
     fn rank(&self) -> ((usize, usize), TileId, u32) {
         (self.cost, self.tile, self.cycle)
     }
+
+    /// Rank within the whole pool. The pool is built parent by parent,
+    /// each parent's cut sorted by rank, so the pruning's stable sort by
+    /// cost leaves it in key order.
+    fn key(&self) -> Key {
+        (self.cost, self.parent, self.tile, self.cycle)
+    }
+
+    /// Whether the enabled memory filters keep the candidate.
+    fn passes(&self, options: &MapperOptions) -> bool {
+        (!options.acmap || self.acmap_ok) && (!options.ecmap || self.ecmap_ok)
+    }
 }
 
-/// Search counters produced by one partial's expansion; a round folds
-/// them into [`MapStats`].
+/// Search counters of one expansion round; the round folds them into
+/// [`MapStats`].
 #[derive(Debug, Clone, Copy, Default)]
 struct ExpandStats {
     attempts: u64,
@@ -252,129 +279,260 @@ struct ExpandStats {
     rollbacks: u64,
 }
 
-/// Expands one partial mapping for `op` at the given `slack`: the
-/// per-partial expansion cut over the tiles × window slots, with the
-/// memory-filter verdicts of the candidates it keeps.
+/// One partial's part of an expansion round: its window, its slots in
+/// ascending bound order and the next one to try, and its cut so far.
 ///
-/// The cut keeps the `expansion` best successful trials by
-/// [`Candidate::rank`], sorted. Slots are tried in ascending order of an
-/// admissible lower bound on that rank: the child's frontier is exactly
-/// `max(frontier, cycle + 1)` and its moves + commit debt at least the
-/// parent's plus [`Partial::cost_floor`] of the tile. So all cycles below
-/// the parent's frontier come first (tiles by `(floor, tile)`, cycles
-/// ascending), then each later cycle in turn (tiles by `(floor, tile)`).
-/// Once the cut is full and the next slot's bound is not below its worst
-/// rank, no untried slot can enter it, and the expansion stops.
-///
-/// Everything that does not depend on the trial is decided once: tile
-/// legality (LSU, CAB blacklist) and the floor per tile, window cycles
-/// past `max_schedule` per call, and the parent half of the memory
-/// verdicts. `attempts` counts the whole window of every tile, tried or
-/// not; `candidates` and `rollbacks` count the trials that ran. `open` is
-/// the caller's scratch for the open tiles.
-#[allow(clippy::too_many_arguments)]
-fn expand_partial(
-    ctx: &MapCtx<'_>,
-    deps: &DepGraph,
-    tiles: &[TileId],
-    op: OpId,
-    slack: usize,
-    pi: usize,
-    partial: &mut Partial,
-    open: &mut Vec<(usize, TileId)>,
-    out: &mut Vec<Candidate>,
-) -> ExpandStats {
-    let window = (slack as u64).saturating_add(1);
-    let mut st = ExpandStats {
-        attempts: window.saturating_mul(tiles.len() as u64),
-        ..ExpandStats::default()
-    };
-    let earliest = partial.earliest_cycle(deps, op);
-    // Cycles at or past `max_schedule` fail before any mutation.
-    let last = earliest
-        .saturating_add(slack)
-        .min(ctx.options.max_schedule - 1);
-    let (frontier, moves) = partial.cost();
-    let terms = partial.floor_terms(ctx, op);
-    open.clear();
-    open.extend(
-        tiles
-            .iter()
-            .filter(|&&tile| partial.tile_open(ctx, op, tile))
-            .map(|&tile| (partial.cost_floor(ctx, &terms, tile), tile)),
-    );
-    open.sort_unstable();
-    let below = earliest..frontier.min(last + 1);
-    let slots = open
-        .iter()
-        .flat_map(|&(floor, tile)| below.clone().map(move |c| (floor, tile, c)))
-        .chain(
-            (earliest.max(frontier)..=last)
-                .flat_map(|c| open.iter().map(move |&(floor, tile)| (floor, tile, c))),
-        );
+/// The slots are every open tile's cycles below the parent's frontier
+/// (tiles by `(floor, tile)`, cycles ascending), then each later cycle in
+/// turn (tiles by `(floor, tile)`): ascending order of the bound rank
+/// `((max(frontier, cycle + 1), moves + floor), tile, cycle)`.
+#[derive(Debug, Default)]
+struct Cursor {
+    /// The parent's cost: frontier, and moves + commit debt.
+    frontier: usize,
+    moves: usize,
+    /// The window's first cycle, and its last below `max_schedule`.
+    earliest: usize,
+    last: usize,
+    /// The end of the window's cycles below the frontier.
+    below: usize,
+    /// The open tiles with their floors, `(floor, tile)` sorted: a range
+    /// of the generator's buffer.
+    open: Range<usize>,
+    /// The next slot, `(index into the open tiles, cycle)`; `None` once
+    /// no untried slot can enter the cut.
+    next: Option<(usize, usize)>,
+    /// The journal checkpoint every trial rolls back to.
+    cp: usize,
+    /// The parent half of the memory verdicts, taken before the first
+    /// trial.
+    base: Option<VerdictBase>,
+    /// The `expansion` best trials so far by [`Candidate::rank`], sorted.
+    cut: Vec<Candidate>,
+}
 
-    let cp = partial.checkpoint();
-    let base = partial.verdict_base(ctx);
-    let start = out.len();
-    let keep = ctx.options.expansion;
-    for (floor, tile, cycle) in slots {
-        // The worst kept rank, once the cut is full.
-        let worst = (out.len() - start == keep).then(|| out[out.len() - 1].rank());
-        if let Some(worst) = worst {
-            let bound = (
-                (frontier.max(cycle + 1), moves.saturating_add(floor)),
-                tile,
-                cycle as u32,
-            );
-            if bound >= worst {
-                break; // every later slot bounds higher still
+impl Cursor {
+    /// Sets the cursor up for `op` on `partial` at `slack`, appending the
+    /// open tiles to `open`. Tile legality (LSU, CAB blacklist) and each
+    /// open tile's floor depend only on the checkpoint state, which every
+    /// rollback restores, so they are decided here once.
+    #[allow(clippy::too_many_arguments)]
+    fn start(
+        &mut self,
+        ctx: &MapCtx<'_>,
+        deps: &DepGraph,
+        tiles: &[TileId],
+        op: OpId,
+        slack: usize,
+        partial: &Partial,
+        open: &mut Vec<(usize, TileId)>,
+    ) {
+        self.earliest = partial.earliest_cycle(deps, op);
+        // Cycles at or past `max_schedule` fail before any mutation.
+        self.last = self
+            .earliest
+            .saturating_add(slack)
+            .min(ctx.options.max_schedule - 1);
+        (self.frontier, self.moves) = partial.cost();
+        self.below = self.frontier.min(self.last + 1);
+        let terms = partial.floor_terms(ctx, op);
+        let from = open.len();
+        open.extend(
+            tiles
+                .iter()
+                .filter(|&&tile| partial.tile_open(ctx, op, tile))
+                .map(|&tile| (partial.cost_floor(ctx, &terms, tile), tile)),
+        );
+        open[from..].sort_unstable();
+        self.open = from..open.len();
+        self.cp = partial.checkpoint();
+        self.base = None;
+        self.cut.clear();
+        self.next = if self.open.is_empty() {
+            None
+        } else if self.earliest < self.below {
+            Some((0, self.earliest))
+        } else {
+            self.past(self.earliest.max(self.frontier))
+        };
+    }
+
+    /// The first slot at `cycle`, a cycle at or past the frontier.
+    fn past(&self, cycle: usize) -> Option<(usize, usize)> {
+        (cycle <= self.last).then_some((0, cycle))
+    }
+
+    /// The slot after `(i, cycle)`.
+    fn after(&self, i: usize, cycle: usize) -> Option<(usize, usize)> {
+        let last_tile = i + 1 == self.open.len();
+        if cycle < self.below {
+            if cycle + 1 < self.below {
+                Some((i, cycle + 1))
+            } else if !last_tile {
+                Some((i + 1, self.earliest))
+            } else {
+                self.past(self.frontier.max(self.earliest))
             }
+        } else if !last_tile {
+            Some((i + 1, cycle))
+        } else {
+            self.past(cycle + 1)
         }
-        if !partial.slot_free(tile, cycle) {
-            continue;
+    }
+}
+
+/// The candidate generator of one op step over the whole population,
+/// with its buffers kept across steps.
+///
+/// Each partial keeps its own cut: the `expansion` best successful
+/// trials by [`Candidate::rank`]. Stochastic pruning then keeps nothing
+/// ranked past the `4 × population`-th candidate the enabled filters
+/// keep, in [`Candidate::key`] order, so the generator runs the trials of
+/// all partials in ascending order of their slots' bound keys and stops
+/// once no untried slot can rank ahead of that candidate. A slot's bound
+/// is the admissible lower bound of its trial's cost: the child's
+/// frontier is exactly `max(frontier, cycle + 1)` and its moves + commit
+/// debt at least the parent's plus [`Partial::cost_floor`] of the tile.
+/// The bound costs form *levels*, taken in ascending order; within a
+/// level the partials go in index order, each through its own slots of
+/// the level.
+///
+/// Two rules stop trials. A partial whose cut is full stops at the
+/// first slot whose bound rank is not below its worst kept rank: no
+/// later slot of it can enter its cut. The round stops at the first slot
+/// whose bound key is not below the `4 × population`-th key kept: every
+/// later slot bounds higher still, and the threshold moves only when a
+/// trial runs. A trial past it would rank behind every candidate the
+/// pruning keeps, and so would any cut member it displaced. Pruning
+/// therefore sees the pool the full loop builds, up to its truncation:
+/// the same candidates, RNG draws and survivors.
+#[derive(Debug, Default)]
+struct Generator {
+    cursors: Vec<Cursor>,
+    /// Every partial's open tiles with their floors.
+    open: Vec<(usize, TileId)>,
+    /// The keys of the cut members the enabled filters keep, sorted.
+    kept: Vec<Key>,
+}
+
+impl Generator {
+    /// Expands every partial of `population` for `op` at the given
+    /// `slack`, appending the cuts to `pool` parent by parent, each
+    /// sorted, with the memory verdicts of their candidates.
+    ///
+    /// `attempts` counts the whole window of every tile and partial, tried
+    /// or not; `candidates` and `rollbacks` count the trials that ran.
+    #[allow(clippy::too_many_arguments)]
+    fn expand(
+        &mut self,
+        ctx: &MapCtx<'_>,
+        deps: &DepGraph,
+        tiles: &[TileId],
+        op: OpId,
+        slack: usize,
+        population: &mut [Partial],
+        pool: &mut Vec<Candidate>,
+    ) -> ExpandStats {
+        let window = (slack as u64).saturating_add(1);
+        let mut st = ExpandStats {
+            attempts: window
+                .saturating_mul(tiles.len() as u64)
+                .saturating_mul(population.len() as u64),
+            ..ExpandStats::default()
+        };
+        let Generator {
+            cursors,
+            open,
+            kept,
+        } = self;
+        open.clear();
+        kept.clear();
+        cursors.resize_with(population.len(), Cursor::default);
+        for (cur, partial) in cursors.iter_mut().zip(population.iter()) {
+            cur.start(ctx, deps, tiles, op, slack, partial, open);
         }
-        if partial.place_on_open_tile(ctx, op, tile, cycle) {
-            st.candidates += 1;
-            let cost = partial.cost();
-            let rank = (cost, tile, cycle as u32);
-            if worst.is_none_or(|w| rank < w) {
-                let (acmap_ok, ecmap_ok) = partial.child_verdicts(ctx, &base, cp);
-                let cand = Candidate {
-                    parent: pi as u32,
-                    tile,
-                    cycle: cycle as u32,
-                    cost,
-                    acmap_ok,
-                    ecmap_ok,
-                };
-                if worst.is_some() {
-                    let at = start + out[start..].partition_point(|c| c.rank() < rank);
-                    out.pop();
-                    out.insert(at, cand);
-                } else {
-                    out.push(cand);
-                    if out.len() - start == keep {
-                        out[start..].sort_unstable_by_key(Candidate::rank);
+        let keep = ctx.options.expansion;
+        let cap = ctx.options.population.saturating_mul(4);
+        let bound = |cur: &Cursor, (i, cycle): (usize, usize)| {
+            let (floor, tile) = open[cur.open.start + i];
+            let cost = (cur.frontier.max(cycle + 1), cur.moves.saturating_add(floor));
+            (cost, tile)
+        };
+        let mut level = cursors
+            .iter()
+            .filter_map(|cur| Some(bound(cur, cur.next?).0))
+            .min();
+        'levels: while let Some(lv) = level.take() {
+            for (pi, (cur, partial)) in cursors.iter_mut().zip(population.iter_mut()).enumerate() {
+                while let Some((i, cycle)) = cur.next {
+                    let (cost, tile) = bound(cur, (i, cycle));
+                    if cost > lv {
+                        level = Some(level.map_or(cost, |l| l.min(cost)));
+                        break;
+                    }
+                    // The worst kept rank, once the cut is full.
+                    let worst = (cur.cut.len() == keep).then(|| cur.cut[keep - 1].rank());
+                    if worst.is_some_and(|w| (cost, tile, cycle as u32) >= w) {
+                        cur.next = None; // every later slot bounds higher still
+                        break;
+                    }
+                    if kept.len() >= cap && (cost, pi as u32, tile, cycle as u32) >= kept[cap - 1] {
+                        break 'levels; // so does every later slot of every partial
+                    }
+                    cur.next = cur.after(i, cycle);
+                    if !partial.slot_free(tile, cycle) {
+                        continue;
+                    }
+                    let base = *cur.base.get_or_insert_with(|| partial.verdict_base(ctx));
+                    if partial.place_on_open_tile(ctx, op, tile, cycle) {
+                        st.candidates += 1;
+                        let cost = partial.cost();
+                        let rank = (cost, tile, cycle as u32);
+                        if worst.is_none_or(|w| rank < w) {
+                            let (acmap_ok, ecmap_ok) = partial.child_verdicts(ctx, &base, cur.cp);
+                            let cand = Candidate {
+                                parent: pi as u32,
+                                tile,
+                                cycle: cycle as u32,
+                                cost,
+                                acmap_ok,
+                                ecmap_ok,
+                            };
+                            if worst.is_some() {
+                                let out = cur.cut.pop().expect("a full cut");
+                                if out.passes(ctx.options) {
+                                    if let Ok(at) = kept.binary_search(&out.key()) {
+                                        kept.remove(at);
+                                    }
+                                }
+                            }
+                            if cand.passes(ctx.options) {
+                                let key = cand.key();
+                                kept.insert(kept.partition_point(|k| *k < key), key);
+                            }
+                            let at = cur.cut.partition_point(|c| c.rank() < rank);
+                            cur.cut.insert(at, cand);
+                        }
+                    }
+                    if partial.dirty_since(cur.cp) {
+                        st.rollbacks += 1;
+                        partial.rollback(cur.cp);
                     }
                 }
             }
         }
-        if partial.dirty_since(cp) {
-            st.rollbacks += 1;
-            partial.rollback(cp);
+        // Note the expansion cut happens *before* the memory filters,
+        // exactly like the paper's Fig 4 pipeline (binding -> ACMAP ->
+        // stochastic pruning): the memory-aware steps prune the
+        // partial-mapping set, they do not re-rank the binder's
+        // candidates. This is what makes over-constrained targets fail
+        // (the zero bars of Figs 6-8) instead of being rescued by
+        // exhaustive candidate filtering.
+        for cur in cursors.iter_mut() {
+            pool.append(&mut cur.cut);
         }
+        st
     }
-    // Note the expansion cut happens *before* the memory filters, exactly
-    // like the paper's Fig 4 pipeline (binding -> ACMAP -> stochastic
-    // pruning): the memory-aware steps prune the partial-mapping set,
-    // they do not re-rank the binder's candidates. This is what makes
-    // over-constrained targets fail (the zero bars of Figs 6-8) instead
-    // of being rescued by exhaustive candidate filtering. The cut keeps
-    // the `expansion` best by cost, ties in generation order (tiles, then
-    // cycles, ascending) — what a stable sort by cost then truncation of
-    // every trial's candidate keeps.
-    out[start..].sort_unstable_by_key(Candidate::rank);
-    st
 }
 
 impl Mapper {
@@ -504,10 +662,10 @@ impl Mapper {
         let tiles: Vec<TileId> = ctx.config.geometry().tiles().collect();
 
         let mut population = vec![Partial::new(state, ctx)];
-        // The candidate pool's and the open-tile list's buffers are reused
+        // The candidate pool's and the generator's buffers are reused
         // across op steps.
         let mut pool: Vec<Candidate> = Vec::new();
-        let mut open: Vec<(usize, TileId)> = Vec::new();
+        let mut generator = Generator::default();
 
         for &op in &order {
             // Candidate generation with slack escalation. Every trial is
@@ -520,14 +678,11 @@ impl Mapper {
                 if escalation > 0 {
                     stats.escalations += 1;
                 }
-                for (pi, partial) in population.iter_mut().enumerate() {
-                    let st = expand_partial(
-                        ctx, &deps, &tiles, op, slack, pi, partial, &mut open, &mut pool,
-                    );
-                    stats.attempts = stats.attempts.saturating_add(st.attempts);
-                    stats.candidates += st.candidates;
-                    stats.rollbacks += st.rollbacks;
-                }
+                let st =
+                    generator.expand(ctx, &deps, &tiles, op, slack, &mut population, &mut pool);
+                stats.attempts = stats.attempts.saturating_add(st.attempts);
+                stats.candidates += st.candidates;
+                stats.rollbacks += st.rollbacks;
                 if !pool.is_empty() {
                     break;
                 }
@@ -827,10 +982,11 @@ mod tests {
         assert_eq!(r.stats.attempts, u64::MAX, "attempt count saturates");
     }
 
-    /// Drives a small beam of `expand_partial` rounds over `cdfg` and
-    /// checks every expanded candidate's ACMAP/ECMAP verdict against the
-    /// reference filters run on its parent with the candidate re-applied.
-    /// `seen` counts `[acmap pass, acmap fail, ecmap pass, ecmap fail]`.
+    /// Drives a small beam of [`Generator::expand`] rounds over `cdfg`
+    /// and checks every expanded candidate's ACMAP/ECMAP verdict against
+    /// the reference filters run on its parent with the candidate
+    /// re-applied. `seen` counts `[acmap pass, acmap fail, ecmap pass,
+    /// ecmap fail]`.
     fn check_verdicts(
         cdfg: &Cdfg,
         config: &CgraConfig,
@@ -841,7 +997,7 @@ mod tests {
         let pre = MapPre::new(config);
         let tiles: Vec<TileId> = config.geometry().tiles().collect();
         let mut state = FlowState::new(tiles.len());
-        let mut open = Vec::new();
+        let mut generator = Generator::default();
         for (pos, &block) in order.iter().enumerate() {
             let ctx = MapCtx {
                 cdfg,
@@ -855,10 +1011,8 @@ mod tests {
             let mut population = vec![Partial::new(&state, &ctx)];
             for op in priority_order(&dfg, &deps) {
                 let mut pool = Vec::new();
-                for (pi, p) in population.iter_mut().enumerate() {
-                    let slack = options.slack;
-                    expand_partial(&ctx, &deps, &tiles, op, slack, pi, p, &mut open, &mut pool);
-                }
+                let slack = options.slack;
+                generator.expand(&ctx, &deps, &tiles, op, slack, &mut population, &mut pool);
                 let mut next = Vec::new();
                 for c in &pool {
                     let mut child = population[c.parent as usize].clone();
@@ -921,10 +1075,11 @@ mod tests {
         );
     }
 
-    /// The candidate generator without bound ordering: every open tile ×
-    /// every window cycle, then the expansion cut. The reference the
-    /// bounded [`expand_partial`] must equal; it also asserts that no
-    /// successful trial costs less than the bound its slot is ranked by.
+    /// One partial's candidates without bound ordering: every open tile ×
+    /// every window cycle, then the expansion cut. Run over every partial,
+    /// it is the reference [`Generator::expand`] must match up to
+    /// pruning's truncation; it also asserts that no successful trial
+    /// costs less than the bound its slot is ranked by.
     #[allow(clippy::too_many_arguments)]
     fn expand_exhaustive(
         ctx: &MapCtx<'_>,
@@ -990,20 +1145,35 @@ mod tests {
         st
     }
 
-    /// Expansions of [`check_generators`], and the trials each generator
+    /// What stochastic pruning draws from: the candidates the enabled
+    /// filters keep, stably sorted by cost, cut to `4 × population`.
+    fn pruning_input<'a>(pool: &'a [Candidate], options: &MapperOptions) -> Vec<&'a Candidate> {
+        let mut kept: Vec<&Candidate> = pool.iter().filter(|c| c.passes(options)).collect();
+        kept.sort_by_key(|c| c.cost);
+        kept.truncate(4 * options.population);
+        kept
+    }
+
+    /// Op steps of [`check_generators`], and the trials each generator
     /// ran and rolled back over them.
     #[derive(Debug, Default)]
     struct Trials {
-        expansions: u64,
+        /// Steps where at least `4 × population` reference candidates
+        /// pass the filters, so the generator may stop early.
+        cut: u64,
+        /// Steps where fewer pass, so nothing stops early.
+        small: u64,
         exhaustive: u64,
         bounded: u64,
     }
 
     /// Maps `cdfg` the way [`Mapper::map`] does — same traversal, slack
     /// escalation, filters, seeded pruning and finalisation — running
-    /// every expansion through both generators: they must return
-    /// identical candidates (parent, slot, cost and both verdicts) and
-    /// attempt counts.
+    /// every op step through [`Generator::expand`] and through
+    /// [`expand_exhaustive`] on every partial. Both must give pruning the
+    /// same input, in order, and count the same attempts; with fewer
+    /// than `4 × population` passing candidates the two pools must be
+    /// identical, so an empty filtered pool fails at the same step.
     fn check_generators(
         cdfg: &Cdfg,
         config: &CgraConfig,
@@ -1018,7 +1188,8 @@ mod tests {
         let tiles: Vec<TileId> = config.geometry().tiles().collect();
         let mut state = FlowState::new(tiles.len());
         let mut rng = StdRng::seed_from_u64(options.seed);
-        let (mut open, mut reference) = (Vec::new(), Vec::new());
+        let mut generator = Generator::default();
+        let (mut pool, mut reference) = (Vec::new(), Vec::new());
         for (pos, &block) in order.iter().enumerate() {
             let ctx = MapCtx {
                 cdfg,
@@ -1031,12 +1202,12 @@ mod tests {
             let deps = DepGraph::build(&dfg);
             let mut population = vec![Partial::new(&state, &ctx)];
             for op in priority_order(&dfg, &deps) {
-                let mut pool = Vec::new();
                 for escalation in 0..3 {
                     let slack = options.slack.saturating_mul(1 << (2 * escalation));
+                    let mut want = ExpandStats::default();
+                    reference.clear();
                     for (pi, p) in population.iter_mut().enumerate() {
-                        reference.clear();
-                        let want = expand_exhaustive(
+                        let st = expand_exhaustive(
                             &ctx,
                             &deps,
                             &tiles,
@@ -1046,28 +1217,52 @@ mod tests {
                             p,
                             &mut reference,
                         );
-                        let start = pool.len();
-                        let got = expand_partial(
-                            &ctx, &deps, &tiles, op, slack, pi, p, &mut open, &mut pool,
-                        );
-                        let at = format!("{op} in {block}, partial {pi}, slack {slack}");
-                        assert_eq!(pool[start..], reference[..], "{at}");
-                        assert_eq!(got.attempts, want.attempts, "{at}");
-                        assert!(got.candidates <= want.candidates, "{at}");
-                        assert!(got.rollbacks <= want.rollbacks, "{at}");
-                        trials.expansions += 1;
-                        trials.exhaustive += want.rollbacks;
-                        trials.bounded += got.rollbacks;
+                        want.attempts = want.attempts.saturating_add(st.attempts);
+                        want.candidates += st.candidates;
+                        want.rollbacks += st.rollbacks;
                     }
+                    pool.clear();
+                    let got = generator.expand(
+                        &ctx,
+                        &deps,
+                        &tiles,
+                        op,
+                        slack,
+                        &mut population,
+                        &mut pool,
+                    );
+                    let at = format!("{op} in {block}, slack {slack}");
+                    let passing = reference.iter().filter(|c| c.passes(options)).count();
+                    if passing < 4 * options.population {
+                        assert_eq!(pool, reference, "{at}: a small pool is the full loop's");
+                        trials.small += 1;
+                    } else {
+                        assert_eq!(
+                            pruning_input(&pool, options),
+                            pruning_input(&reference, options),
+                            "{at}"
+                        );
+                        trials.cut += 1;
+                    }
+                    assert_eq!(got.attempts, want.attempts, "{at}");
+                    assert!(got.candidates <= want.candidates, "{at}");
+                    assert!(got.rollbacks <= want.rollbacks, "{at}");
+                    trials.exhaustive += want.rollbacks;
+                    trials.bounded += got.rollbacks;
                     if !pool.is_empty() {
                         break;
                     }
                 }
-                pool.retain(|c| (!options.acmap || c.acmap_ok) && (!options.ecmap || c.ecmap_ok));
+                pool.retain(|c| c.passes(options));
                 if pool.is_empty() {
                     return;
                 }
-                let chosen = stochastic_prune_by(pool, options.population, &mut rng, |c| c.cost);
+                let chosen = stochastic_prune_by(
+                    std::mem::take(&mut pool),
+                    options.population,
+                    &mut rng,
+                    |c| c.cost,
+                );
                 population = chosen
                     .iter()
                     .map(|c| {
@@ -1113,7 +1308,8 @@ mod tests {
 
     /// Runs [`check_generators`] for every flow at slack 3 and 12 over
     /// `kernels` on `config`. A population of 8 rather than the flows' 24
-    /// keeps the exhaustive reference affordable.
+    /// keeps the exhaustive reference affordable, and with the 8-wide
+    /// cut it still leaves steps on both sides of pruning's truncation.
     fn generators_agree(kernels: &[Cdfg], config: &CgraConfig) {
         let mut trials = Trials::default();
         for cdfg in kernels {
@@ -1129,6 +1325,10 @@ mod tests {
         assert!(
             trials.bounded < trials.exhaustive,
             "bound ordering must skip trials: {trials:?}"
+        );
+        assert!(
+            trials.cut > 0 && trials.small > 0,
+            "steps on both sides of the truncation: {trials:?}"
         );
     }
 

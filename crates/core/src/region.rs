@@ -50,7 +50,11 @@
 //! When every context-memory comparison of a map under flags `F` held,
 //! no filter dropped anything: nothing was blacklisted, every verdict
 //! passed, every finalize fit held, so `acmap_pruned` and `ecmap_pruned`
-//! are 0 and every pool is the unpruned one. Take a job under flags
+//! are 0 and every pool is the unpruned one. The expansion cut reads the
+//! verdicts only through the enabled filters (a candidate counts toward
+//! pruning's truncation when they keep it), so with every verdict passing
+//! it counts every candidate under `F` and under any `F′ ⊆ F` alike, and
+//! stops at the same slot. Take a job under flags
 //! `F′ ⊆ F` with everything else the mapper reads equal and its memories
 //! inside the region. By induction over the run it makes the same
 //! trials: each comparison it makes is one `F` also made at the same

@@ -5,21 +5,30 @@
 //!
 //! The golden file (`tests/golden/mapper.golden`) is the contract every
 //! performance refactor must preserve. Its mapping digests, its error
-//! lines and seven of its nine counters (`attempts`, the three pruning
-//! counts, `finalize_failures`, `escalations`, `peak_population`) are
-//! those of the pre-optimization mapper (the clone-per-candidate,
-//! HashMap-state implementation): flat state, incremental ACMAP/ECMAP
-//! counters, try/undo candidate expansion and bound-ordered candidate
-//! generation are all invisible in them. `candidates` and `rollbacks`
-//! count the trials that actually run, so they moved when bound-ordered
-//! generation cut the trials to about a quarter; `flow.rs`'s
-//! `bounded_generator_equals_exhaustive_*` tests prove that cut exact.
+//! lines and three of its nine counters (`attempts`,
+//! `finalize_failures`, `escalations`) are those of the
+//! pre-optimization mapper (the clone-per-candidate, HashMap-state
+//! implementation): flat state, incremental ACMAP/ECMAP counters,
+//! try/undo candidate expansion, bound-ordered candidate generation and
+//! the population-wide expansion cut are all invisible in them. The other
+//! six are effort counters. `candidates` and `rollbacks` count the trials
+//! that actually run, so they moved when bound-ordered generation cut the
+//! trials to about a quarter, and again when the population-wide cut
+//! halved them. `peak_population`, `acmap_pruned`, `ecmap_pruned` and
+//! `stochastic_pruned` count the generated pool, which that cut trims to
+//! what stochastic pruning can keep. `flow.rs`'s
+//! `bounded_generator_equals_exhaustive_*` tests prove both cuts exact.
 //!
-//! Regenerate (only when an *intentional* semantic change lands) with:
+//! Regenerate (only when an *intentional* change lands) with:
 //!
 //! ```text
 //! CMAM_REGEN_GOLDEN=1 cargo test -p cmam_core --test golden_equivalence
 //! ```
+//!
+//! The regeneration prints to stderr, per counter column, how many lines
+//! changed and the column's sum before and after, then how many mapping
+//! digests and `err` lines changed: a change meant to move only effort
+//! counters must report 0 for both.
 
 use cmam_arch::CgraConfig;
 use cmam_core::{FlowVariant, Mapper};
@@ -167,6 +176,72 @@ fn observe(kernel: &str, variant: FlowVariant, config: &CgraConfig) -> String {
     }
 }
 
+/// The nine counter columns of an `ok` line, in order.
+const COLUMNS: [&str; 9] = [
+    "candidates",
+    "attempts",
+    "acmap_pruned",
+    "ecmap_pruned",
+    "stochastic_pruned",
+    "finalize_failures",
+    "escalations",
+    "peak_population",
+    "rollbacks",
+];
+
+/// An `ok` line's mapping digest and counters; `None` for an `err` line.
+fn ok_fields(line: &str) -> Option<(&str, Vec<&str>)> {
+    let tokens: Vec<&str> = line.split(' ').collect();
+    let at = tokens.len().checked_sub(COLUMNS.len() + 2)?;
+    (tokens[at] == "ok").then(|| (tokens[at + 1], tokens[at + 2..].to_vec()))
+}
+
+/// What a regeneration changes, line by line: per counter column the
+/// `ok` lines whose value moved and the column's sum before and after,
+/// then the mapping digests and `err` lines that changed. A mapping
+/// change shows in the last line even when only counters were meant to
+/// move.
+fn regen_summary(old: &str, new: &str) -> String {
+    let (old, new): (Vec<&str>, Vec<&str>) = (old.lines().collect(), new.lines().collect());
+    if old.len() != new.len() {
+        return format!(
+            "suite shape changed: {} lines, was {}\n",
+            new.len(),
+            old.len()
+        );
+    }
+    let mut moved = [0usize; COLUMNS.len()];
+    let mut sums = [(0u64, 0u64); COLUMNS.len()];
+    let (mut digests, mut errs) = (0, 0);
+    for (o, n) in old.iter().zip(&new) {
+        let (Some((od, oc)), Some((nd, nc))) = (ok_fields(o), ok_fields(n)) else {
+            errs += usize::from(o != n);
+            continue;
+        };
+        digests += usize::from(od != nd);
+        for (c, (a, b)) in oc.iter().zip(&nc).enumerate() {
+            moved[c] += usize::from(a != b);
+            sums[c].0 += a.parse::<u64>().unwrap_or(0);
+            sums[c].1 += b.parse::<u64>().unwrap_or(0);
+        }
+    }
+    let mut out = String::new();
+    for (c, name) in COLUMNS.iter().enumerate() {
+        let (a, b) = sums[c];
+        let _ = writeln!(
+            out,
+            "{name}: {} of {} lines changed, sum {a} -> {b}",
+            moved[c],
+            new.len()
+        );
+    }
+    let _ = writeln!(
+        out,
+        "mapping digests changed: {digests}; err lines changed: {errs}"
+    );
+    out
+}
+
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
@@ -218,6 +293,11 @@ fn mapper_output_matches_golden() {
     let path = golden_path();
     let observed = run_suite();
     if std::env::var_os("CMAM_REGEN_GOLDEN").is_some() {
+        if let Ok(old) = std::fs::read_to_string(&path) {
+            // Straight to stderr: the test harness captures `eprint!`.
+            let summary = regen_summary(&old, &observed);
+            let _ = std::io::Write::write_all(&mut std::io::stderr(), summary.as_bytes());
+        }
         std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir");
         std::fs::write(&path, &observed).expect("write golden");
         eprintln!("regenerated {}", path.display());
